@@ -184,7 +184,8 @@ def _resolve_cf_source(text: str):
     try:
         return named_cf_stream(s), None
     except DomainError:
-        pass
+        if s.lower().startswith("metallic:"):  # no literal form to fall back on
+            raise
     if s.startswith("[") or (" " in s and "/" not in s):
         cf = parse_cf(s)
         return cf, len(cf.terms)
@@ -220,6 +221,8 @@ def _cmd_diag(args) -> list[str]:
     if args.command == "cf":
         if args.source == "rationals":
             return [cf_diagonal_over_rationals(calkin_wilf()).message()]
+        if args.depth < 1:  # before irrational_enumeration names it "count"
+            raise DomainError("depth must be >= 1")
         rows = irrational_enumeration(args.depth)
         result = cf_diagonal(rows, args.depth)
         lines = [f"constructed: {result}"]

@@ -141,6 +141,14 @@ def convergents(source, count: int) -> list[Convergent]:
     return out
 
 
+def _exact(value, name: str) -> Fraction:
+    # Fraction() raises ValueError on nan and OverflowError on +-inf
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError):
+        raise DomainError(f"{name} must be a finite number, got {value!r}") from None
+
+
 def from_real_approx(x, eps) -> ContinuedFraction:
     """Floor-and-reciprocal extraction of a CF from a real-valued input.
 
@@ -148,12 +156,13 @@ def from_real_approx(x, eps) -> ContinuedFraction:
     machine number; the loop then runs entirely in exact arithmetic,
     appending one partial quotient at a time and re-evaluating the
     accumulated fraction until it is within eps of that exact value.
-    The result is canonicalized (the value is unchanged by that).
+    The result is canonicalized (the value is unchanged by that). A
+    non-finite x or eps (nan, inf) is a DomainError.
     """
-    tolerance = Fraction(eps)
+    tolerance = _exact(eps, "eps")
     if tolerance <= 0:
         raise DomainError("eps must be positive")
-    target = Fraction(x)
+    target = _exact(x, "input")
     if target <= 0:
         raise DomainError("positive input required")
     terms: list[int] = []

@@ -150,48 +150,46 @@ def _nth_entry(row, position: int, kind: str) -> int:
     return last
 
 
-def decimal_diagonal(rows: Sequence, depth: int):
+def _differing_digit(d_kk: int) -> int:
+    if not 0 <= d_kk <= 9:
+        raise DomainError(f"digit out of range: {d_kk}")
+    return 5 if d_kk != 5 else 4
+
+
+def _diagonal(rows: Sequence, depth: int, kind: str, rule):
+    # a row with `entry` is read at position k directly, any other is walked
+    if depth < 1:
+        raise DomainError("depth must be >= 1")
+    rows = list(rows)
+    if len(rows) < depth:
+        raise InputError(f"need {depth} rows, got {len(rows)}")
+    built: list[int] = []
+    witnesses: list[DiagonalWitness] = []
+    for k in range(1, depth + 1):
+        row = rows[k - 1]
+        _check_fresh(row)
+        entry = getattr(row, "entry", None)
+        x_kk = entry(k) if entry is not None else _nth_entry(row, k, kind)
+        built.append(rule(x_kk))
+        witnesses.append(DiagonalWitness(k, x_kk, built[-1]))
+    return tuple(built), tuple(witnesses)
+
+
+def decimal_diagonal(rows: Sequence, depth: int) -> DecimalDiagonalResult:
     """Build d_0k = 5 (or 4 when the diagonal digit is 5) for k = 1..depth.
 
-    Row k is consumed up to its k-th digit. Returns the digit prefix of
-    the built number (integer part 0) along with per-position witnesses.
+    Digit k of row k is read directly from the package's rows, so this is
+    O(depth log depth); other rows are walked up to it. Returns the digit
+    prefix of the built number (integer part 0) with per-position witnesses.
     """
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
-    rows = list(rows)
-    if len(rows) < depth:
-        raise InputError(f"need {depth} rows, got {len(rows)}")
-    digits: list[int] = []
-    witnesses: list[DiagonalWitness] = []
-    for k in range(1, depth + 1):
-        row = rows[k - 1]
-        _check_fresh(row)
-        d_kk = _nth_entry(row, k, "decimal")
-        if not 0 <= d_kk <= 9:
-            raise DomainError(f"digit out of range: {d_kk}")
-        d_0k = 5 if d_kk != 5 else 4
-        digits.append(d_0k)
-        witnesses.append(DiagonalWitness(k, d_kk, d_0k))
-    return DecimalDiagonalResult(0, tuple(digits), tuple(witnesses))
+    digits, witnesses = _diagonal(rows, depth, "decimal", _differing_digit)
+    return DecimalDiagonalResult(0, digits, witnesses)
 
 
-def cf_diagonal(rows: Sequence, depth: int):
+def cf_diagonal(rows: Sequence, depth: int) -> CFDiagonalResult:
     """Build a_00 = 0 and a_0k = a_kk + 1 for k = 1..depth."""
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
-    rows = list(rows)
-    if len(rows) < depth:
-        raise InputError(f"need {depth} rows, got {len(rows)}")
-    terms: list[int] = [0]  # a_00 fixed at 0 for reproducible output
-    witnesses: list[DiagonalWitness] = []
-    for k in range(1, depth + 1):
-        row = rows[k - 1]
-        _check_fresh(row)
-        a_kk = _nth_entry(row, k, "cf")
-        a_0k = a_kk + 1
-        terms.append(a_0k)
-        witnesses.append(DiagonalWitness(k, a_kk, a_0k))
-    return CFDiagonalResult(tuple(terms), tuple(witnesses))
+    terms, witnesses = _diagonal(rows, depth, "cf", lambda a_kk: a_kk + 1)
+    return CFDiagonalResult((0,) + terms, witnesses)  # a_00 = 0: reproducible
 
 
 def _infer_kind(constructed, rows) -> str:
@@ -209,8 +207,9 @@ def verify_differs(constructed, rows: Sequence, depth: int, kind: str | None = N
 
     `constructed` is a diagonal result or a plain entry sequence (for
     decimal rows item 0 is position 1; for cf rows item 0 is a_00).
-    Rows are consumed, so pass fresh streams. Returns the first failing
-    position as the counterexample; depth 0 is vacuously true.
+    Rows are walked, never read through `entry`, so this stays independent
+    of the construction (and O(depth^2)); pass fresh streams. Returns the
+    first failing position as the counterexample; depth 0 is vacuously true.
     """
     if depth == 0:
         return VerifyResult(True, None)
@@ -224,18 +223,18 @@ def verify_differs(constructed, rows: Sequence, depth: int, kind: str | None = N
     if kind not in ("decimal", "cf"):
         raise DomainError(f"unknown kind: {kind!r}")
     if hasattr(constructed, "entry"):
-        entry = constructed.entry
+        built_at = constructed.entry
     else:
         seq = list(constructed)
         offset = 0 if kind == "cf" else -1
-        def entry(position: int) -> int:
+        def built_at(position: int) -> int:
             return seq[position + offset]
     for k in range(1, depth + 1):
         row = rows[k - 1]
         _check_fresh(row)
         row_entry = _nth_entry(row, k, kind)
         try:
-            built = entry(k)
+            built = built_at(k)
         except IndexError:
             raise InputError(f"constructed prefix has no entry for position {k}") from None
         if built == row_entry:

@@ -4,14 +4,22 @@ A bijective enumeration of the positive rationals (Calkin-Wilf), digit
 streams for rationals, and infinite partial-quotient streams for a few
 named irrationals. Streams are pull-based, single-consumer and carry an
 explicit position; rewinding means recreating the stream.
+
+The package's own rows (`digits_of`, `metallic`, `named_cf_stream`)
+also answer `entry(k)`: item k computed directly, in O(log k) for a
+rational's digits and O(1) for the named quotient streams, without
+moving the position. Streams built from a bare iterable have no
+`entry` and can only be walked.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Callable, Iterable, Iterator
 
+from .decimal_expansion import digit_at
 from .errors import DomainError, RangeError
 from .exact_numbers import Rational, to_string
 
@@ -24,68 +32,108 @@ PI_PARTIAL_QUOTIENTS: tuple[int, ...] = (
 )
 
 
-class RationalEnumeration:
-    """Single-consumer iterator of positive rationals with a position counter."""
+class _Stream:
+    """Single-consumer iterator with a position counter (items yielded so far).
 
-    def __init__(self, values: Iterable[Rational], description: str = ""):
-        self._values = iter(values)
+    Given `at`, the stream also answers `entry(k)`: item k from `at(k)`,
+    under the same per-item check as the walk (`_check`), with the
+    position left alone. Without `at` it has no `entry` attribute.
+    """
+
+    first_index = 0  # the smallest k that `entry(k)` accepts
+
+    def __init__(
+        self, items: Iterable, description: str = "", at: Callable[[int], int] | None = None
+    ):
+        self._items = iter(items)
         self.description = description
-        self.position = 0  # values yielded so far
+        self.position = 0
+        self._at = at  # subclasses that accept `at` define `_check`
 
-    def __iter__(self) -> "RationalEnumeration":
+    @property
+    def entry(self) -> Callable[[int], int]:
+        if self._at is None:  # so that hasattr() and getattr() see no `entry`
+            raise AttributeError(f"{type(self).__name__} without random access has no entry")
+        return self._entry
+
+    def _entry(self, k: int) -> int:
+        if k < self.first_index:
+            raise DomainError(f"entry index must be >= {self.first_index}, got {k}")
+        return self._check(k, self._at(k))
+
+    def __iter__(self):
         return self
 
-    def __next__(self) -> Rational:
-        value = next(self._values)
+    def __next__(self):
+        value = next(self._items)
         self.position += 1
         return value
 
-    def take(self, n: int) -> list[Rational]:
+    def take(self, n: int) -> list:
         return [next(self) for _ in range(n)]
 
     def __repr__(self) -> str:
-        return f"RationalEnumeration({self.description!r}, position={self.position})"
+        return f"{type(self).__name__}({self.description!r}, position={self.position})"
 
 
-class DigitStream:
-    """Fractional digits d_1, d_2, ... of one number, plus its integer part."""
+class RationalEnumeration(_Stream):
+    """Single-consumer iterator of positive rationals with a position counter."""
 
-    def __init__(self, digits: Iterable[int], integer_part: int = 0, description: str = ""):
-        self._digits = iter(digits)
+    def __init__(self, values: Iterable[Rational], description: str = ""):
+        super().__init__(values, description)
+
+
+class DigitStream(_Stream):
+    """Fractional digits d_1, d_2, ... of one number, plus its integer part.
+
+    `entry(k)`, when present, is the k-th fractional digit (k >= 1).
+    """
+
+    first_index = 1
+
+    @staticmethod
+    def _check(index: int, d: int) -> int:
+        if not 0 <= d <= 9:
+            raise DomainError(f"digit out of range: {d}")
+        return d
+
+    def __init__(
+        self,
+        digits: Iterable[int],
+        integer_part: int = 0,
+        description: str = "",
+        at: Callable[[int], int] | None = None,
+    ):
+        super().__init__(digits, description, at)
         self.integer_part = integer_part
-        self.description = description
-        self.position = 0  # digits yielded so far
 
-    def __iter__(self) -> "DigitStream":
-        return self
-
+    # The walk repeats `_check` inline: verify_differs pulls O(depth^2)
+    # items through here, and a call per item made the walk 25% slower.
     def __next__(self) -> int:
-        d = next(self._digits)
+        d = next(self._items)
         if not 0 <= d <= 9:
             raise DomainError(f"digit out of range: {d}")
         self.position += 1
         return d
 
-    def take(self, n: int) -> list[int]:
-        return [next(self) for _ in range(n)]
 
-    def __repr__(self) -> str:
-        return f"DigitStream({self.description!r}, position={self.position})"
+class CFStream(_Stream):
+    """Partial quotients a_0, a_1, a_2, ... of one irrational.
 
+    `entry(k)`, when present, is a_k (k >= 0).
+    """
 
-class CFStream:
-    """Partial quotients a_0, a_1, a_2, ... of one irrational."""
+    @staticmethod
+    def _check(index: int, a: int) -> int:
+        if index == 0:
+            if a < 0:
+                raise DomainError(f"first partial quotient must be >= 0, got {a}")
+        elif a < 1:
+            raise DomainError(f"partial quotient at index {index} must be >= 1, got {a}")
+        return a
 
-    def __init__(self, quotients: Iterable[int], description: str = ""):
-        self._quotients = iter(quotients)
-        self.description = description
-        self.position = 0  # index of the next quotient
-
-    def __iter__(self) -> "CFStream":
-        return self
-
-    def __next__(self) -> int:
-        a = next(self._quotients)
+    def __next__(self) -> int:  # `_check` inline, as in DigitStream
+        a = next(self._items)
         if self.position == 0:
             if a < 0:
                 raise DomainError(f"first partial quotient must be >= 0, got {a}")
@@ -93,12 +141,6 @@ class CFStream:
             raise DomainError(f"partial quotient at index {self.position} must be >= 1, got {a}")
         self.position += 1
         return a
-
-    def take(self, n: int) -> list[int]:
-        return [next(self) for _ in range(n)]
-
-    def __repr__(self) -> str:
-        return f"CFStream({self.description!r}, position={self.position})"
 
 
 def calkin_wilf() -> RationalEnumeration:
@@ -136,6 +178,7 @@ def digits_of(x: Rational) -> DigitStream:
         gen(),
         integer_part=x.numerator // x.denominator,
         description=f"digits of {to_string(x)}",
+        at=partial(digit_at, x),
     )
 
 
@@ -143,7 +186,7 @@ def metallic(k: int) -> CFStream:
     """[k; k, k, k, ...]; k = 1 is the golden ratio."""
     if k < 1:
         raise DomainError("metallic index must be >= 1")
-    return CFStream(itertools.repeat(k), f"metallic:{k}")
+    return CFStream(itertools.repeat(k), f"metallic:{k}", at=lambda _: k)
 
 
 def _e_quotients() -> Iterator[int]:
@@ -156,25 +199,45 @@ def _e_quotients() -> Iterator[int]:
         m += 1
 
 
-def _pi_quotients() -> Iterator[int]:
-    yield from PI_PARTIAL_QUOTIENTS
-    raise RangeError(
+def _e_quotient(k: int) -> int:
+    # the walk above, in closed form: a_k = 2(k+1)/3 when k = 2 (mod 3)
+    if k == 0:
+        return 2
+    return 2 * (k + 1) // 3 if k % 3 == 2 else 1
+
+
+def _pi_table_end() -> RangeError:
+    return RangeError(
         f"pi stream is backed by a fixed table of {len(PI_PARTIAL_QUOTIENTS)} "
         "partial quotients"
     )
+
+
+def _pi_quotients() -> Iterator[int]:
+    yield from PI_PARTIAL_QUOTIENTS
+    raise _pi_table_end()
+
+
+def _pi_quotient(k: int) -> int:
+    if k < len(PI_PARTIAL_QUOTIENTS):
+        return PI_PARTIAL_QUOTIENTS[k]
+    raise _pi_table_end()
 
 
 def named_cf_stream(name: str) -> CFStream:
     """Fresh stream for sqrt2, e, phi, pi or metallic:<k>."""
     key = name.strip().lower()
     if key == "sqrt2":
-        return CFStream(itertools.chain([1], itertools.repeat(2)), "sqrt2")
+        return CFStream(
+            itertools.chain([1], itertools.repeat(2)), "sqrt2",
+            at=lambda k: 1 if k == 0 else 2,
+        )
     if key == "e":
-        return CFStream(_e_quotients(), "e")
+        return CFStream(_e_quotients(), "e", at=_e_quotient)
     if key == "phi":
-        return CFStream(itertools.repeat(1), "phi")
+        return CFStream(itertools.repeat(1), "phi", at=lambda _: 1)
     if key == "pi":
-        return CFStream(_pi_quotients(), "pi")
+        return CFStream(_pi_quotients(), "pi", at=_pi_quotient)
     if key.startswith("metallic:"):
         try:
             k = int(key.split(":", 1)[1])

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from diagcf.cli import run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def invoke(capsys, *argv):
@@ -180,6 +187,45 @@ class TestErrorsAndExitCodes:
         code, _, err = invoke(capsys, "cf", "convergents", "pi", "--count", "60")
         assert code == 1
         assert "fixed table" in err
+
+    def test_metallic_source_reports_its_own_error(self, capsys):
+        code, out, err = invoke(capsys, "cf", "convergents", "metallic:0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: metallic index must be >= 1\n"
+
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_cf_diagonal_depth_named_depth(self, capsys, depth):
+        code, out, err = invoke(
+            capsys, "diag", "cf", "--source", "irrationals", "--depth", depth
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: depth must be >= 1\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cf", "from-real", "nan"),
+            ("cf", "from-real", "inf"),
+            ("cf", "from-real", "--", "-inf"),
+            ("cf", "from-real", "1.5", "--eps", "nan"),
+            ("cf", "from-real", "1.5", "--eps", "inf"),
+        ],
+    )
+    def test_non_finite_real_is_a_one_line_error(self, argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "diagcf.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "must be a finite number" in lines[0]
 
     def test_help_is_exit_0(self, capsys):
         code, out, _ = invoke(capsys, "--help")

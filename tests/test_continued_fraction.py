@@ -220,6 +220,13 @@ class TestFromRealApprox:
         with pytest.raises(DomainError, match="positive"):
             from_real_approx(-2.0, 1e-9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError, match="input must be a finite number"):
+            from_real_approx(bad, 1e-9)
+        with pytest.raises(DomainError, match="eps must be a finite number"):
+            from_real_approx(1.5, bad)
+
     def test_eps_postcondition_on_random_inputs(self):
         rng = random.Random(23)
         for _ in range(100):

@@ -5,6 +5,7 @@ import pytest
 
 from diagcf import (
     CFDiagonalFailure,
+    CFStream,
     DigitStream,
     DomainError,
     InputError,
@@ -18,6 +19,7 @@ from diagcf import (
     format_witnesses,
     from_rational,
     irrational_enumeration,
+    metallic,
     named_cf_stream,
     rational_diagonal_analysis,
     rule_out_periods,
@@ -103,6 +105,56 @@ class TestCFDiagonal:
         cf = result.as_continued_fraction()
         assert cf.terms[0] >= 0
         assert all(a >= 1 for a in cf.terms[1:])
+
+
+class TestRandomAccessRows:
+    """The construction reads `entry` where rows have it; results match the walk."""
+
+    DEPTH = 300
+
+    def test_decimal_same_over_entry_and_walk(self):
+        values = calkin_wilf().take(5000)[4000:4000 + self.DEPTH]
+        direct = [digits_of(v) for v in values]
+        walked = [DigitStream(digits_of(v)) for v in values]
+        assert all(hasattr(r, "entry") for r in direct)
+        assert not any(hasattr(r, "entry") for r in walked)
+        assert decimal_diagonal(direct, self.DEPTH) == decimal_diagonal(walked, self.DEPTH)
+        assert all(r.position == 0 for r in direct)
+
+    def test_cf_same_over_entry_and_walk(self):
+        def row(k):
+            if k % 5 == 0:
+                return metallic(k)
+            # pi's table ends at index 47, so e stands in for it past that
+            name = ["sqrt2", "phi", "e", "pi" if k < 48 else "e"][k % 5 - 1]
+            return named_cf_stream(name)
+
+        direct = [row(k) for k in range(1, self.DEPTH + 1)]
+        walked = [CFStream(row(k)) for k in range(1, self.DEPTH + 1)]
+        assert cf_diagonal(direct, self.DEPTH) == cf_diagonal(walked, self.DEPTH)
+
+    def test_verify_never_reads_entry(self):
+        # row 3 lies through `entry` (5 where it walks 4s), so the built
+        # digit there is 4 and equals the true diagonal digit
+        def rows():
+            out = [DigitStream(itertools.repeat(0)) for _ in range(6)]
+            out[2] = DigitStream(itertools.repeat(4), at=lambda k: 5)
+            return out
+
+        built = decimal_diagonal(rows(), 6)
+        assert built.digits[2] == 4
+        honest = [DigitStream(itertools.repeat(4 if k == 3 else 0)) for k in range(1, 7)]
+        assert verify_differs(built, honest, 6) == (False, 3)
+        # fresh rows with the same lie: only walking them finds the fault
+        assert verify_differs(built, rows(), 6) == (False, 3)
+
+    def test_verify_does_not_call_entry(self):
+        def refuse(k):
+            raise AssertionError("verify_differs read a row through entry")
+
+        built = decimal_diagonal(cw_digit_rows(20), 20)
+        fresh = [DigitStream(digits_of(v), at=refuse) for v in calkin_wilf().take(20)]
+        assert verify_differs(built, fresh, 20) == (True, None)
 
 
 class TestVerifyDiffers:

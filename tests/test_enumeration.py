@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from diagcf import (
     PI_PARTIAL_QUOTIENTS,
@@ -99,6 +100,23 @@ class TestDigitsOf:
         with pytest.raises(DomainError, match="digit out of range"):
             next(s)
 
+    @given(
+        st.fractions(min_value=0, max_denominator=10**6).filter(lambda x: x < 10**6),
+        st.integers(min_value=1, max_value=2000),
+    )
+    def test_entry_matches_walk_and_digit_at(self, x, k):
+        s = digits_of(x)
+        assert s.entry(k) == digit_at(x, k)
+        assert s.position == 0  # random access leaves the walk alone
+        assert s.entry(k) == s.take(k)[-1]
+
+    def test_entry_checks(self):
+        with pytest.raises(DomainError, match="entry index must be >= 1"):
+            digits_of(Fraction(1, 3)).entry(0)
+        with pytest.raises(DomainError, match="digit out of range: 12"):
+            DigitStream(iter([]), at=lambda k: 12).entry(1)
+        assert not hasattr(DigitStream(itertools.repeat(5)), "entry")
+
 
 class TestNamedStreams:
     def test_sqrt2(self):
@@ -122,6 +140,27 @@ class TestNamedStreams:
         s.take(len(PI_PARTIAL_QUOTIENTS))
         with pytest.raises(RangeError, match="fixed table"):
             next(s)
+        with pytest.raises(RangeError, match="fixed table"):
+            named_cf_stream("pi").entry(48)
+
+    @pytest.mark.parametrize(
+        "name", ["sqrt2", "phi", "e", "pi", "metallic:1", "metallic:7", "metallic:500"]
+    )
+    def test_entry_matches_walk(self, name):
+        length = len(PI_PARTIAL_QUOTIENTS) if name == "pi" else 501
+        walked = named_cf_stream(name).take(length)
+        s = named_cf_stream(name)
+        assert [s.entry(k) for k in range(length)] == walked
+        assert s.position == 0
+
+    def test_entry_checks(self):
+        with pytest.raises(DomainError, match="entry index must be >= 0"):
+            named_cf_stream("e").entry(-1)
+        with pytest.raises(DomainError, match="first partial quotient"):
+            CFStream(iter([]), at=lambda k: -1).entry(0)
+        with pytest.raises(DomainError, match="at index 3 must be >= 1"):
+            CFStream(iter([]), at=lambda k: 0).entry(3)
+        assert not hasattr(CFStream(itertools.repeat(2)), "entry")
 
     def test_fresh_stream_per_call(self):
         a = named_cf_stream("sqrt2")
