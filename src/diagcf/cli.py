@@ -211,23 +211,21 @@ def _cmd_decimal(args) -> list[str]:
     raise AssertionError(args.command)
 
 
+def _render_diagonal(result, fmt: str) -> list[str]:
+    table = format_witnesses(result.witnesses, result.kind, fmt)
+    return [f"constructed: {result}", *table.split("\n")]
+
+
 def _cmd_diag(args) -> list[str]:
     if args.command == "decimal":
         rows = [digits_of(v) for v in calkin_wilf().take(args.depth)]
-        result = decimal_diagonal(rows, args.depth)
-        lines = [f"constructed: {result}"]
-        lines.extend(format_witnesses(result.witnesses, "decimal", args.format).split("\n"))
-        return lines
+        return _render_diagonal(decimal_diagonal(rows, args.depth), args.format)
     if args.command == "cf":
         if args.source == "rationals":
             return [cf_diagonal_over_rationals(calkin_wilf()).message()]
-        if args.depth < 1:  # before irrational_enumeration names it "count"
-            raise DomainError("depth must be >= 1")
-        rows = irrational_enumeration(args.depth)
-        result = cf_diagonal(rows, args.depth)
-        lines = [f"constructed: {result}"]
-        lines.extend(format_witnesses(result.witnesses, "cf", args.format).split("\n"))
-        return lines
+        # cf_diagonal rejects depth < 1; irrational_enumeration would say "count"
+        rows = irrational_enumeration(max(args.depth, 1))
+        return _render_diagonal(cf_diagonal(rows, args.depth), args.format)
     if args.command == "analyze":
         report = rational_diagonal_analysis(
             calkin_wilf(), args.depth, args.max_preperiod, args.max_period

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import DomainError, RangeError
 from .exact_numbers import Rational
@@ -111,6 +111,16 @@ def canonicalize(terms: CFLike) -> ContinuedFraction:
     return ContinuedFraction(ts)
 
 
+def _convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    # (a_k, h_k, k_k) by h_k = a_k*h_{k-1} + h_{k-2}, and the same for k_k
+    h1, h2 = 1, 0  # h_{k-1}, h_{k-2}
+    k1, k2 = 0, 1
+    for a in quotients:
+        h1, h2 = a * h1 + h2, h1
+        k1, k2 = a * k1 + k2, k1
+        yield a, h1, k1
+
+
 def convergents(source, count: int) -> list[Convergent]:
     """First `count` truncation values h_k/k_k of a CF or quotient stream.
 
@@ -119,25 +129,14 @@ def convergents(source, count: int) -> list[Convergent]:
     """
     if count < 1:
         raise RangeError("count must be >= 1")
-    if isinstance(source, ContinuedFraction):
-        if count > len(source.terms):
-            raise RangeError(
-                f"count {count} exceeds the {len(source.terms)} available terms"
-            )
-        it = iter(source.terms)
-    else:
-        it = iter(source)
+    if isinstance(source, ContinuedFraction) and count > len(source.terms):
+        raise RangeError(f"count {count} exceeds the {len(source.terms)} available terms")
     out: list[Convergent] = []
-    h1, h2 = 1, 0  # h_{k-1}, h_{k-2}
-    k1, k2 = 0, 1
-    for index in range(count):
-        try:
-            a = int(next(it))
-        except StopIteration:
-            raise RangeError(f"count {count} exceeds the available terms") from None
-        h1, h2 = a * h1 + h2, h1
-        k1, k2 = a * k1 + k2, k1
-        out.append(Convergent(index, Fraction(h1, k1)))
+    # range comes first in zip, so no quotient past the count is pulled
+    for index, (_, h, k) in zip(range(count), _convergents(map(int, source))):
+        out.append(Convergent(index, Fraction(h, k)))
+    if len(out) < count:
+        raise RangeError(f"count {count} exceeds the available terms")
     return out
 
 
@@ -147,6 +146,14 @@ def _exact(value, name: str) -> Fraction:
         return Fraction(value)
     except (ValueError, OverflowError):
         raise DomainError(f"{name} must be a finite number, got {value!r}") from None
+
+
+def _floor_quotients(t: Fraction) -> Iterator[int]:
+    # at an exact hit the convergent equals t: the caller stops before 1/0
+    while True:
+        a = t.numerator // t.denominator
+        yield a
+        t = 1 / (t - a)
 
 
 def from_real_approx(x, eps) -> ContinuedFraction:
@@ -166,20 +173,10 @@ def from_real_approx(x, eps) -> ContinuedFraction:
     if target <= 0:
         raise DomainError("positive input required")
     terms: list[int] = []
-    t = target
-    h1, h2, k1, k2 = 1, 0, 0, 1
-    while True:
-        a = t.numerator // t.denominator
+    for a, h, k in _convergents(_floor_quotients(target)):
         terms.append(a)
-        h1, h2 = a * h1 + h2, h1
-        k1, k2 = a * k1 + k2, k1
-        if abs(target - Fraction(h1, k1)) <= tolerance:
+        if abs(target - Fraction(h, k)) <= tolerance:
             break
-        frac = t - a
-        if frac == 0:
-            # exact hit; the eps test above already fired, kept as a guard
-            break
-        t = 1 / frac
     return canonicalize(terms)
 
 
@@ -221,22 +218,15 @@ def to_plain_string(cf: CFLike) -> str:
 def parse_cf(text: str) -> ContinuedFraction:
     """Parse "[a0; a1, a2, ...]" or the space-separated "a0 a1 a2"."""
     s = text.strip()
-    if s.startswith("["):
-        if not s.endswith("]"):
-            raise DomainError(f"invalid continued fraction literal: {text!r}")
-        body = s[1:-1].strip()
-        if ";" in body:
-            head, _, tail = body.partition(";")
-            parts = [head] + tail.split(",")
-        else:
-            parts = [body]
+    if s.startswith("[") and s.endswith("]"):
+        head, sep, tail = s[1:-1].partition(";")
+        parts = [head, *tail.split(",")] if sep else [head]
     else:
         parts = s.split()
-    parts = [p.strip() for p in parts if p.strip()]
-    if not parts:
-        raise DomainError(f"invalid continued fraction literal: {text!r}")
     try:
-        terms = tuple(int(p) for p in parts)
+        terms = tuple(int(p) for p in parts)  # an empty part fails here
     except ValueError:
-        raise DomainError(f"invalid continued fraction literal: {text!r}") from None
+        terms = ()
+    if not terms:
+        raise DomainError(f"invalid continued fraction literal: {text!r}")
     return ContinuedFraction(terms)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact_numbers import Rational
+from .exact_numbers import Rational, _int_from_digits
 
 _EXPANSION_RE = re.compile(r"^(\d+)\.(\d*)\((\d+)\)$")
 
@@ -179,8 +179,8 @@ def reconstruct(e: DecimalExpansion) -> Rational:
     l = len(e.period)
     value = Fraction(e.integer_part)
     if e.preperiod:
-        value += Fraction(int(e.preperiod), 10**p)
-    value += Fraction(int(e.period), 10**p * (10**l - 1))
+        value += Fraction(_int_from_digits(e.preperiod), 10**p)
+    value += Fraction(_int_from_digits(e.period), 10**p * (10**l - 1))
     return value
 
 

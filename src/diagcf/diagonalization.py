@@ -150,6 +150,20 @@ def _nth_entry(row, position: int, kind: str) -> int:
     return last
 
 
+def _enough_rows(rows: Sequence, depth: int) -> list:
+    rows = list(rows)
+    if len(rows) < depth:
+        raise InputError(f"need {depth} rows, got {len(rows)}")
+    return rows
+
+
+def _check_shape(max_preperiod: int, max_period: int) -> None:
+    if max_preperiod < 0:
+        raise DomainError("max_preperiod must be >= 0")
+    if max_period < 1:
+        raise DomainError("max_period must be >= 1")
+
+
 def _differing_digit(d_kk: int) -> int:
     if not 0 <= d_kk <= 9:
         raise DomainError(f"digit out of range: {d_kk}")
@@ -160,9 +174,7 @@ def _diagonal(rows: Sequence, depth: int, kind: str, rule):
     # a row with `entry` is read at position k directly, any other is walked
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    rows = list(rows)
-    if len(rows) < depth:
-        raise InputError(f"need {depth} rows, got {len(rows)}")
+    rows = _enough_rows(rows, depth)
     built: list[int] = []
     witnesses: list[DiagonalWitness] = []
     for k in range(1, depth + 1):
@@ -215,9 +227,7 @@ def verify_differs(constructed, rows: Sequence, depth: int, kind: str | None = N
         return VerifyResult(True, None)
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    rows = list(rows)
-    if len(rows) < depth:
-        raise InputError(f"need {depth} rows, got {len(rows)}")
+    rows = _enough_rows(rows, depth)
     if kind is None:
         kind = _infer_kind(constructed, rows)
     if kind not in ("decimal", "cf"):
@@ -268,10 +278,7 @@ def rule_out_periods(
     first such j is recorded. Everything else is reported consistent:
     a finite prefix can rule shapes out but can never certify one.
     """
-    if max_preperiod < 0:
-        raise DomainError("max_preperiod must be >= 0")
-    if max_period < 1:
-        raise DomainError("max_period must be >= 1")
+    _check_shape(max_preperiod, max_period)
     n = len(digits)
     rulings: list[PeriodRuling] = []
     for p in range(max_preperiod + 1):
@@ -297,10 +304,7 @@ def rational_diagonal_analysis(
     Requires depth >= max_preperiod + 2*max_period so every candidate
     shape gets at least one full period-against-period comparison.
     """
-    if max_preperiod < 0:
-        raise DomainError("max_preperiod must be >= 0")
-    if max_period < 1:
-        raise DomainError("max_period must be >= 1")
+    _check_shape(max_preperiod, max_period)
     if depth < max_preperiod + 2 * max_period:
         raise RangeError(
             f"depth {depth} is less than max_preperiod + 2*max_period "

@@ -206,22 +206,13 @@ def _e_quotient(k: int) -> int:
     return 2 * (k + 1) // 3 if k % 3 == 2 else 1
 
 
-def _pi_table_end() -> RangeError:
-    return RangeError(
-        f"pi stream is backed by a fixed table of {len(PI_PARTIAL_QUOTIENTS)} "
-        "partial quotients"
-    )
-
-
-def _pi_quotients() -> Iterator[int]:
-    yield from PI_PARTIAL_QUOTIENTS
-    raise _pi_table_end()
-
-
 def _pi_quotient(k: int) -> int:
     if k < len(PI_PARTIAL_QUOTIENTS):
         return PI_PARTIAL_QUOTIENTS[k]
-    raise _pi_table_end()
+    raise RangeError(
+        f"pi stream is backed by a fixed table of {len(PI_PARTIAL_QUOTIENTS)} "
+        "partial quotients"
+    )
 
 
 def named_cf_stream(name: str) -> CFStream:
@@ -237,7 +228,7 @@ def named_cf_stream(name: str) -> CFStream:
     if key == "phi":
         return CFStream(itertools.repeat(1), "phi", at=lambda _: 1)
     if key == "pi":
-        return CFStream(_pi_quotients(), "pi", at=_pi_quotient)
+        return CFStream(map(_pi_quotient, itertools.count()), "pi", at=_pi_quotient)
     if key.startswith("metallic:"):
         try:
             k = int(key.split(":", 1)[1])

@@ -16,9 +16,32 @@ from .errors import DomainError
 
 Rational = Fraction
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+
+# CPython refuses int/str conversions past 4300 digits by default, so
+# longer numbers are converted in halves of at most this many digits.
+_CHUNK_DIGITS = 4000
+
+
+def _int_from_digits(s: str) -> int:
+    """int(s) for an optionally signed digit string of any length."""
+    if len(s) <= _CHUNK_DIGITS:
+        return int(s)
+    if s[0] == "-":
+        return -_int_from_digits(s[1:])
+    low = len(s) // 2
+    return _int_from_digits(s[:-low]) * 10**low + _int_from_digits(s[-low:])
+
+
+def _digits_of_int(n: int) -> str:
+    """str(n) for an int of any size."""
+    if n.bit_length() <= 3 * _CHUNK_DIGITS:  # a digit carries 3.32 bits
+        return str(n)
+    if n < 0:
+        return "-" + _digits_of_int(-n)
+    low = n.bit_length() * 3 // 20  # about half the digits
+    high, rest = divmod(n, 10**low)
+    return _digits_of_int(high) + _digits_of_int(rest).zfill(low)
 
 
 def make_rational(num: int, den: int) -> Rational:
@@ -28,39 +51,11 @@ def make_rational(num: int, den: int) -> Rational:
     return Fraction(num, den)
 
 
-def reciprocal(x: Rational) -> Rational:
-    """1/x, reduced; the sign stays on the numerator."""
-    if x == 0:
-        raise DomainError("reciprocal of zero")
-    return 1 / x
-
-
-def add(x: Rational, y: Rational) -> Rational:
-    return x + y
-
-
-def sub(x: Rational, y: Rational) -> Rational:
-    return x - y
-
-
-def mul(x: Rational, y: Rational) -> Rational:
-    return x * y
-
-
-def compare(x: Rational, y: Rational) -> int:
-    """Total order consistent with the reals: -1, 0 or 1."""
-    if x < y:
-        return LESS
-    if x > y:
-        return GREATER
-    return EQUAL
-
-
 def to_string(x: Rational) -> str:
     """"p/q" in lowest terms, or plain "p" when the denominator is 1."""
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _digits_of_int(x.numerator)
+    return f"{_digits_of_int(x.numerator)}/{_digits_of_int(x.denominator)}"
 
 
 def parse_rational(text: str) -> Rational:
@@ -70,5 +65,5 @@ def parse_rational(text: str) -> Rational:
         raise DomainError(f"invalid rational literal: {text!r}")
     if "/" in s:
         num, den = s.split("/")
-        return make_rational(int(num), int(den))
-    return Fraction(int(s))
+        return make_rational(_int_from_digits(num), _int_from_digits(den))
+    return Fraction(_int_from_digits(s))

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -157,6 +158,13 @@ class TestApprox:
         assert out.strip().endswith("closer: cf")
 
 
+    def test_compare_past_the_int_string_limit(self, capsys):
+        code, out, err = invoke(capsys, "approx", "compare", "1e5000", "1", "1")
+        assert (code, err) == (0, "")
+        assert out.startswith("cf error: " + "9" * 5000 + "\n")
+        assert out.endswith("closer: tie\n")
+
+
 class TestErrorsAndExitCodes:
     def test_domain_error_is_exit_1(self, capsys):
         code, out, err = invoke(capsys, "cf", "from-rational", "1/0")
@@ -233,17 +241,59 @@ class TestErrorsAndExitCodes:
         assert "usage" in out.lower()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("cf", "from-rational", "6/7"),
-        ("decimal", "expand", "169/550"),
-        ("diag", "decimal", "--depth", "10"),
-        ("diag", "analyze", "--depth", "20"),
-        ("diag", "cf", "--source", "irrationals"),
-    ],
-)
+# Every README example, each diagonal at three depths in both formats, and
+# the error paths. The first five cases are the original stability cases.
+GOLDEN_ARGV = [
+    ("cf", "from-rational", "6/7"),
+    ("decimal", "expand", "169/550"),
+    ("diag", "decimal", "--depth", "10"),
+    ("diag", "analyze", "--depth", "20"),
+    ("diag", "cf", "--source", "irrationals"),
+    ("cf", "from-rational", "6/7", "--format", "plain"),
+    ("cf", "to-rational", "[3; 7, 15, 1]"),
+    ("cf", "from-real", "1.41421356", "--eps", "1e-9"),
+    ("cf", "convergents", "pi", "--count", "4"),
+    ("cf", "convergents", "pi", "--count", "48"),
+    ("decimal", "expand", "129/550"),
+    ("decimal", "period", "1/6"),
+    ("decimal", "find-period", "6"),
+    ("diag", "decimal", "--depth", "20"),
+    ("diag", "cf", "--source", "irrationals", "--depth", "10"),
+    ("diag", "cf", "--source", "rationals"),
+    ("diag", "analyze", "--depth", "30", "--max-preperiod", "2", "--max-period", "3"),
+    ("approx", "compare", "3141592653589793/1000000000000000", "355/113", "3.1416"),
+    *(
+        ("diag", *command, "--depth", str(depth), "--format", fmt)
+        for command in (("decimal",), ("cf", "--source", "irrationals"))
+        for depth in (1, 20, 300)
+        for fmt in ("table", "tsv")
+    ),
+    *(("diag", "analyze", "--depth", str(depth)) for depth in (1, 20, 300)),
+    ("cf", "from-rational", "--", "-1/2"),
+    ("cf", "convergents", "pi", "--count", "60"),
+    ("cf", "convergents", "metallic:0"),
+    ("cf", "from-real", "nan"),
+    ("decimal", "expand", "1/0"),
+    ("diag", "decimal", "--depth", "0"),
+    ("diag", "cf", "--source", "irrationals", "--depth", "0"),
+    ("diag", "cf", "--source", "irrationals", "--depth", "-3"),
+    ("diag", "analyze", "--depth", "3"),
+    ("diag", "analyze", "--max-preperiod", "-1"),
+    ("diag", "analyze", "--max-period", "0"),
+    ("diag", "analyze", "--depth", "0", "--max-preperiod", "-5", "--max-period", "1"),
+]
+
+# One record per case: exit code, stdout and stderr as `run` printed them
+# when the transcript was written. Rewrite a record only for an intended
+# change of output.
+GOLDEN = {
+    tuple(record["argv"]): record
+    for record in json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+}
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGV)
 def test_output_is_stable_across_runs(capsys, argv):
-    _, first, _ = invoke(capsys, *argv)
-    _, second, _ = invoke(capsys, *argv)
-    assert first == second
+    code, out, err = invoke(capsys, *argv)
+    record = GOLDEN[argv]
+    assert (code, out, err) == (record["code"], record["stdout"], record["stderr"])

@@ -293,7 +293,10 @@ class TestTextForms:
     def test_whitespace_tolerance(self):
         assert parse_cf(" [ 3 ;7, 15,1 ] ").terms == (3, 7, 15, 1)
 
-    @pytest.mark.parametrize("bad", ["", "[", "[1; 2", "3,7", "[1; 2,]x", "[a]", "[1; b]"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "[", "[1; 2", "3,7", "[1; 2,]x", "[a]", "[1; b]", "[; 1, 2]", "[1; 2,, 3]", "[1; 2, 3,]"],
+    )
     def test_rejects(self, bad):
         with pytest.raises(DomainError):
             parse_cf(bad)

@@ -79,6 +79,12 @@ class TestExpand:
     def test_round_trip_property(self, x):
         assert reconstruct(expand(x)) == x
 
+    def test_round_trip_past_the_int_string_limit(self):
+        # the period of 1/10007 has 10006 digits, over CPython's 4300
+        x = Fraction(1, 10007)
+        assert len(expand(x).period) == 10006
+        assert reconstruct(expand(x)) == x
+
     def test_minimality(self):
         rng = random.Random(37)
         for _ in range(200):
