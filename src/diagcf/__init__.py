@@ -50,9 +50,7 @@ from .diagonalization import (
 )
 from .enumeration import (
     PI_PARTIAL_QUOTIENTS,
-    CFStream,
-    DigitStream,
-    RationalEnumeration,
+    Stream,
     calkin_wilf,
     digits_of,
     irrational_enumeration,
@@ -73,13 +71,11 @@ __all__ = [
     "ApproximationComparison",
     "CFDiagonalFailure",
     "CFDiagonalResult",
-    "CFStream",
     "ContinuedFraction",
     "Convergent",
     "DecimalDiagonalResult",
     "DecimalExpansion",
     "DiagonalWitness",
-    "DigitStream",
     "DomainError",
     "InputError",
     "PI_PARTIAL_QUOTIENTS",
@@ -87,8 +83,8 @@ __all__ = [
     "PeriodRuling",
     "Rational",
     "RationalDiagonalReport",
-    "RationalEnumeration",
     "RangeError",
+    "Stream",
     "VerifyResult",
     "approximation_compare",
     "calkin_wilf",

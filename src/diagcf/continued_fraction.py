@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
 from .errors import DomainError, RangeError
-from .exact_numbers import Rational
+from .exact_numbers import Rational, _digits_of_int, _int_from_digits
 
 
 def _validated_terms(terms: Iterable[int]) -> tuple[int, ...]:
@@ -50,10 +50,10 @@ class ContinuedFraction:
         return iter(self.terms)
 
     def __str__(self) -> str:
+        head = _digits_of_int(self.terms[0])
         if len(self.terms) == 1:
-            return f"[{self.terms[0]}]"
-        rest = ", ".join(str(a) for a in self.terms[1:])
-        return f"[{self.terms[0]}; {rest}]"
+            return f"[{head}]"
+        return f"[{head}; {', '.join(map(_digits_of_int, self.terms[1:]))}]"
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ def from_real_approx(x, eps) -> ContinuedFraction:
 def fractional_digit_budget(cf: CFLike) -> int:
     """Total decimal digits across a_1..a_n, with a_0 excluded."""
     terms = _terms_of(cf)
-    return sum(len(str(a)) for a in terms[1:])
+    return sum(len(_digits_of_int(a)) for a in terms[1:])
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ def approximation_compare(
 
 def to_plain_string(cf: CFLike) -> str:
     """Space-separated partial quotients, e.g. "0 1 6"."""
-    return " ".join(str(a) for a in _terms_of(cf))
+    return " ".join(map(_digits_of_int, _terms_of(cf)))
 
 
 def parse_cf(text: str) -> ContinuedFraction:
@@ -224,7 +224,7 @@ def parse_cf(text: str) -> ContinuedFraction:
     else:
         parts = s.split()
     try:
-        terms = tuple(int(p) for p in parts)  # an empty part fails here
+        terms = tuple(_int_from_digits(p.strip()) for p in parts)  # "" fails here
     except ValueError:
         terms = ()
     if not terms:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact_numbers import Rational, _int_from_digits
+from .exact_numbers import Rational, _digits_of_int, _int_from_digits
 
 _EXPANSION_RE = re.compile(r"^(\d+)\.(\d*)\((\d+)\)$")
 
@@ -44,7 +44,7 @@ class DecimalExpansion:
             raise DomainError("nine-repeating period unsupported")
 
     def __str__(self) -> str:
-        return f"{self.integer_part}.{self.preperiod}({self.period})"
+        return f"{_digits_of_int(self.integer_part)}.{self.preperiod}({self.period})"
 
 
 @dataclass(frozen=True)
@@ -209,4 +209,4 @@ def parse_expansion(text: str) -> DecimalExpansion:
     m = _EXPANSION_RE.match(text.strip())
     if not m:
         raise DomainError(f"invalid expansion literal: {text!r}")
-    return DecimalExpansion(int(m.group(1)), m.group(2), m.group(3))
+    return DecimalExpansion(_int_from_digits(m.group(1)), m.group(2), m.group(3))

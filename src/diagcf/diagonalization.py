@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 from .continued_fraction import ContinuedFraction, from_rational
-from .enumeration import CFStream, DigitStream, digits_of
+from .enumeration import FIRST_INDEX, Stream, _check_digits, digits_of
 from .errors import DomainError, InputError, RangeError
 from .exact_numbers import Rational
 
@@ -126,28 +126,23 @@ class RationalDiagonalReport:
 
 
 def _check_fresh(row) -> None:
-    if isinstance(row, (DigitStream, CFStream)) and row.position != 0:
+    if isinstance(row, Stream) and row.position != 0:
         raise InputError(
             "row stream already consumed; recreate streams to rewind"
         )
 
 
 def _nth_entry(row, position: int, kind: str) -> int:
-    # decimal rows: position k is the k-th fractional digit;
-    # cf rows: position k is the quotient at index k (a_0 is index 0)
-    steps = position if kind == "decimal" else position + 1
-    it = iter(row)
-    last = None
-    taken = 0
-    try:
-        for _ in range(steps):
-            last = next(it)
-            taken += 1
-    except StopIteration:
+    steps = position + 1 - FIRST_INDEX[kind]
+    if isinstance(row, Stream):
+        run = row.take(steps)
+    else:
+        run = list(itertools.islice(row, steps))
+    if len(run) < steps:
         raise InputError(
-            f"row exhausted after {taken} entries; position {position} needed"
-        ) from None
-    return last
+            f"row exhausted after {len(run)} entries; position {position} needed"
+        )
+    return run[-1]
 
 
 def _enough_rows(rows: Sequence, depth: int) -> list:
@@ -165,8 +160,7 @@ def _check_shape(max_preperiod: int, max_period: int) -> None:
 
 
 def _differing_digit(d_kk: int) -> int:
-    if not 0 <= d_kk <= 9:
-        raise DomainError(f"digit out of range: {d_kk}")
+    _check_digits(1, (d_kk,))  # a bare-iterable row has no check of its own
     return 5 if d_kk != 5 else 4
 
 
@@ -207,10 +201,8 @@ def cf_diagonal(rows: Sequence, depth: int) -> CFDiagonalResult:
 def _infer_kind(constructed, rows) -> str:
     if isinstance(constructed, (DecimalDiagonalResult, CFDiagonalResult)):
         return constructed.kind
-    if rows and isinstance(rows[0], CFStream):
-        return "cf"
-    if rows and isinstance(rows[0], DigitStream):
-        return "decimal"
+    if rows and isinstance(rows[0], Stream) and rows[0].kind != "rational":
+        return rows[0].kind
     raise InputError("cannot infer stream kind; pass kind='decimal' or kind='cf'")
 
 
@@ -236,9 +228,9 @@ def verify_differs(constructed, rows: Sequence, depth: int, kind: str | None = N
         built_at = constructed.entry
     else:
         seq = list(constructed)
-        offset = 0 if kind == "cf" else -1
+        first = FIRST_INDEX[kind]
         def built_at(position: int) -> int:
-            return seq[position + offset]
+            return seq[position - first]
     for k in range(1, depth + 1):
         row = rows[k - 1]
         _check_fresh(row)

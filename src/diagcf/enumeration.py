@@ -1,9 +1,11 @@
 """Sources feeding the diagonal constructions.
 
-A bijective enumeration of the positive rationals (Calkin-Wilf), digit
-streams for rationals, and infinite partial-quotient streams for a few
-named irrationals. Streams are pull-based, single-consumer and carry an
-explicit position; rewinding means recreating the stream.
+One stream class, `Stream`, carries every source: the Calkin-Wilf
+enumeration of the positive rationals, the decimal digits of a
+rational, and the partial quotients of a few named irrationals. Its
+`kind` ("rational", "decimal" or "cf") fixes the first index and the
+check each item must pass. Streams are pull-based, single-consumer and
+carry an explicit position; rewinding means recreating the stream.
 
 The package's own rows (`digits_of`, `metallic`, `named_cf_stream`)
 also answer `entry(k)`: item k computed directly, in O(log k) for a
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .decimal_expansion import digit_at
 from .errors import DomainError, RangeError
@@ -32,118 +34,97 @@ PI_PARTIAL_QUOTIENTS: tuple[int, ...] = (
 )
 
 
-class _Stream:
-    """Single-consumer iterator with a position counter (items yielded so far).
+def _check_digits(index: int, run: Sequence[int]) -> None:
+    if run and (min(run) < 0 or max(run) > 9):
+        bad = next(d for d in run if not 0 <= d <= 9)
+        raise DomainError(f"digit out of range: {bad}")
+
+
+def _check_quotients(index: int, run: Sequence[int]) -> None:
+    # a_0 >= 0 and a_k >= 1 after it; `index` is the index of run[0]
+    if index == 0 and run and run[0] < 0:
+        raise DomainError(f"first partial quotient must be >= 0, got {run[0]}")
+    if min(itertools.islice(run, 1 if index == 0 else 0, None), default=1) < 1:
+        k, a = next((k, a) for k, a in enumerate(run, index) if k > 0 and a < 1)
+        raise DomainError(f"partial quotient at index {k} must be >= 1, got {a}")
+
+
+# per kind: the index of the first item, and the check every run passes
+FIRST_INDEX = {"rational": 1, "decimal": 1, "cf": 0}
+_CHECKS = {
+    "rational": lambda index, run: None,
+    "decimal": _check_digits,
+    "cf": _check_quotients,
+}
+
+
+class Stream:
+    """Single-consumer iterator of one kind of item, with a position counter.
+
+    `kind` is "rational" (positive rationals, no check), "decimal"
+    (fractional digits d_1, d_2, ... in 0..9 after `integer_part`) or
+    "cf" (partial quotients a_0 >= 0, a_1, ... >= 1). `take(n)` pulls a
+    run of up to n items and checks it once; a run that fails is not
+    handed out and leaves the position where it was.
 
     Given `at`, the stream also answers `entry(k)`: item k from `at(k)`,
-    under the same per-item check as the walk (`_check`), with the
-    position left alone. Without `at` it has no `entry` attribute.
+    under the same check, with the position left alone. Without `at` it
+    has no `entry` attribute.
     """
 
-    first_index = 0  # the smallest k that `entry(k)` accepts
-
     def __init__(
-        self, items: Iterable, description: str = "", at: Callable[[int], int] | None = None
+        self,
+        items: Iterable,
+        kind: str,
+        description: str = "",
+        at: Callable[[int], int] | None = None,
+        integer_part: int = 0,
     ):
+        if kind not in _CHECKS:
+            raise DomainError(f"unknown kind: {kind!r}")
         self._items = iter(items)
+        self.kind = kind
+        self.first_index = FIRST_INDEX[kind]
+        self._check = _CHECKS[kind]
         self.description = description
+        self._at = at
+        self.integer_part = integer_part
         self.position = 0
-        self._at = at  # subclasses that accept `at` define `_check`
 
     @property
     def entry(self) -> Callable[[int], int]:
         if self._at is None:  # so that hasattr() and getattr() see no `entry`
-            raise AttributeError(f"{type(self).__name__} without random access has no entry")
+            raise AttributeError("Stream without random access has no entry")
         return self._entry
 
     def _entry(self, k: int) -> int:
         if k < self.first_index:
             raise DomainError(f"entry index must be >= {self.first_index}, got {k}")
-        return self._check(k, self._at(k))
+        value = self._at(k)
+        self._check(k, (value,))
+        return value
 
     def __iter__(self):
         return self
 
     def __next__(self):
-        value = next(self._items)
-        self.position += 1
-        return value
+        run = self.take(1)
+        if not run:
+            raise StopIteration
+        return run[0]
 
     def take(self, n: int) -> list:
-        return [next(self) for _ in range(n)]
+        """The next n items (none for n <= 0); fewer only where the stream ends."""
+        run = list(itertools.islice(self._items, max(n, 0)))
+        self._check(self.first_index + self.position, run)
+        self.position += len(run)
+        return run
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.description!r}, position={self.position})"
+        return f"Stream({self.kind!r}, {self.description!r}, position={self.position})"
 
 
-class RationalEnumeration(_Stream):
-    """Single-consumer iterator of positive rationals with a position counter."""
-
-    def __init__(self, values: Iterable[Rational], description: str = ""):
-        super().__init__(values, description)
-
-
-class DigitStream(_Stream):
-    """Fractional digits d_1, d_2, ... of one number, plus its integer part.
-
-    `entry(k)`, when present, is the k-th fractional digit (k >= 1).
-    """
-
-    first_index = 1
-
-    @staticmethod
-    def _check(index: int, d: int) -> int:
-        if not 0 <= d <= 9:
-            raise DomainError(f"digit out of range: {d}")
-        return d
-
-    def __init__(
-        self,
-        digits: Iterable[int],
-        integer_part: int = 0,
-        description: str = "",
-        at: Callable[[int], int] | None = None,
-    ):
-        super().__init__(digits, description, at)
-        self.integer_part = integer_part
-
-    # The walk repeats `_check` inline: verify_differs pulls O(depth^2)
-    # items through here, and a call per item made the walk 25% slower.
-    def __next__(self) -> int:
-        d = next(self._items)
-        if not 0 <= d <= 9:
-            raise DomainError(f"digit out of range: {d}")
-        self.position += 1
-        return d
-
-
-class CFStream(_Stream):
-    """Partial quotients a_0, a_1, a_2, ... of one irrational.
-
-    `entry(k)`, when present, is a_k (k >= 0).
-    """
-
-    @staticmethod
-    def _check(index: int, a: int) -> int:
-        if index == 0:
-            if a < 0:
-                raise DomainError(f"first partial quotient must be >= 0, got {a}")
-        elif a < 1:
-            raise DomainError(f"partial quotient at index {index} must be >= 1, got {a}")
-        return a
-
-    def __next__(self) -> int:  # `_check` inline, as in DigitStream
-        a = next(self._items)
-        if self.position == 0:
-            if a < 0:
-                raise DomainError(f"first partial quotient must be >= 0, got {a}")
-        elif a < 1:
-            raise DomainError(f"partial quotient at index {self.position} must be >= 1, got {a}")
-        self.position += 1
-        return a
-
-
-def calkin_wilf() -> RationalEnumeration:
+def calkin_wilf() -> Stream:
     """1/1, 1/2, 2/1, 1/3, 3/2, ...: every positive rational exactly once.
 
     The successor of p/q is q/(2*floor(p/q)*q + q - p); successive values
@@ -158,10 +139,10 @@ def calkin_wilf() -> RationalEnumeration:
             p, q = x.numerator, x.denominator
             x = Fraction(q, 2 * (p // q) * q + q - p)
 
-    return RationalEnumeration(gen(), "calkin-wilf")
+    return Stream(gen(), "rational", "calkin-wilf")
 
 
-def digits_of(x: Rational) -> DigitStream:
+def digits_of(x: Rational) -> Stream:
     """Decimal digit stream of x >= 0; trailing zeros run forever."""
     if x < 0:
         raise DomainError("negative input")
@@ -174,19 +155,17 @@ def digits_of(x: Rational) -> DigitStream:
             yield rem // den
             rem %= den
 
-    return DigitStream(
-        gen(),
-        integer_part=x.numerator // x.denominator,
-        description=f"digits of {to_string(x)}",
-        at=partial(digit_at, x),
+    return Stream(
+        gen(), "decimal", f"digits of {to_string(x)}",
+        at=partial(digit_at, x), integer_part=x.numerator // x.denominator,
     )
 
 
-def metallic(k: int) -> CFStream:
+def metallic(k: int) -> Stream:
     """[k; k, k, k, ...]; k = 1 is the golden ratio."""
     if k < 1:
         raise DomainError("metallic index must be >= 1")
-    return CFStream(itertools.repeat(k), f"metallic:{k}", at=lambda _: k)
+    return Stream(itertools.repeat(k), "cf", f"metallic:{k}", at=lambda _: k)
 
 
 def _e_quotients() -> Iterator[int]:
@@ -215,20 +194,20 @@ def _pi_quotient(k: int) -> int:
     )
 
 
-def named_cf_stream(name: str) -> CFStream:
+def named_cf_stream(name: str) -> Stream:
     """Fresh stream for sqrt2, e, phi, pi or metallic:<k>."""
     key = name.strip().lower()
     if key == "sqrt2":
-        return CFStream(
-            itertools.chain([1], itertools.repeat(2)), "sqrt2",
+        return Stream(
+            itertools.chain([1], itertools.repeat(2)), "cf", "sqrt2",
             at=lambda k: 1 if k == 0 else 2,
         )
     if key == "e":
-        return CFStream(_e_quotients(), "e", at=_e_quotient)
+        return Stream(_e_quotients(), "cf", "e", at=_e_quotient)
     if key == "phi":
-        return CFStream(itertools.repeat(1), "phi", at=lambda _: 1)
+        return Stream(itertools.repeat(1), "cf", "phi", at=lambda _: 1)
     if key == "pi":
-        return CFStream(map(_pi_quotient, itertools.count()), "pi", at=_pi_quotient)
+        return Stream(map(_pi_quotient, itertools.count()), "cf", "pi", at=_pi_quotient)
     if key.startswith("metallic:"):
         try:
             k = int(key.split(":", 1)[1])
@@ -238,7 +217,7 @@ def named_cf_stream(name: str) -> CFStream:
     raise DomainError(f"unknown stream name: {name!r}")
 
 
-def irrational_enumeration(count: int) -> list[CFStream]:
+def irrational_enumeration(count: int) -> list[Stream]:
     """metallic(1), ..., metallic(count): pairwise distinct infinite streams."""
     if count < 1:
         raise DomainError("count must be >= 1")

@@ -24,11 +24,17 @@ _CHUNK_DIGITS = 4000
 
 
 def _int_from_digits(s: str) -> int:
-    """int(s) for an optionally signed digit string of any length."""
+    """int(s) for an optionally signed digit string of any length.
+
+    Past the chunk size s must be plain digits after the sign, so that
+    its halves can never join a string like "12 34" into one number.
+    """
     if len(s) <= _CHUNK_DIGITS:
         return int(s)
-    if s[0] == "-":
+    if s[0] == "-" and s[1:].isdigit():
         return -_int_from_digits(s[1:])
+    if not s.isdigit():
+        raise ValueError(f"invalid literal for a {len(s)}-character int")
     low = len(s) // 2
     return _int_from_digits(s[:-low]) * 10**low + _int_from_digits(s[-low:])
 

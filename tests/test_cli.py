@@ -11,6 +11,15 @@ from diagcf.cli import run
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def run_process(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "diagcf.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -222,18 +231,26 @@ class TestErrorsAndExitCodes:
         ],
     )
     def test_non_finite_real_is_a_one_line_error(self, argv):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "diagcf.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_process(*argv)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "must be a finite number" in lines[0]
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("cf", "from-rational", "1" + "0" * 5000 + "/1"), "[1" + "0" * 5000 + "]"),
+            (("decimal", "expand", "1" + "0" * 5000 + "/3"), "3" * 5000 + ".(3)"),
+        ],
+        ids=["cf-from-rational", "decimal-expand"],
+    )
+    def test_prints_past_the_int_string_limit(self, argv, expected):
+        proc = run_process(*argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == expected + "\n"
 
     def test_help_is_exit_0(self, capsys):
         code, out, _ = invoke(capsys, "--help")

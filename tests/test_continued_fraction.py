@@ -301,6 +301,21 @@ class TestTextForms:
         with pytest.raises(DomainError):
             parse_cf(bad)
 
+    def test_text_forms_past_the_int_string_limit(self):
+        big = 10**5000  # 5001 digits, over CPython's 4300
+        cf = ContinuedFraction((big, 7, big + 1))
+        assert str(cf) == "[1" + "0" * 5000 + "; 7, 1" + "0" * 4999 + "1]"
+        assert parse_cf(str(cf)) == cf
+        assert parse_cf(to_plain_string(cf)) == cf
+        assert parse_cf("[0; 1" + "0" * 5000 + "]") == ContinuedFraction((0, big))
+        assert fractional_digit_budget(cf) == 1 + 5001
+
+    def test_long_part_must_be_plain_digits(self):
+        # split in halves at the space, "1...1 2...2" would parse as one number
+        with pytest.raises(DomainError, match="invalid continued fraction literal"):
+            parse_cf("[0; " + "1" * 2500 + " " + "2" * 2500 + "]")
+        assert parse_cf("[+3; 1_0]").terms == (3, 10)  # short parts still go to int()
+
     @given(term_lists)
     def test_parse_formats_round_trip(self, terms):
         cf = ContinuedFraction(terms)

@@ -242,6 +242,12 @@ class TestTextForm:
     def test_parse_matches_expand(self):
         assert parse_expansion("0.1(6)") == expand(Fraction(1, 6))
 
+    def test_round_trip_past_the_int_string_limit(self):
+        e = expand(Fraction(10**5000, 3))  # integer part of 5000 threes
+        assert str(e) == "3" * 5000 + ".(3)"
+        assert parse_expansion(str(e)) == e
+        assert parse_expansion("1" + "0" * 5000 + ".(0)") == DecimalExpansion(10**5000, "", "0")
+
     @pytest.mark.parametrize("bad", ["0.23", "0.23()", "abc", "0.2(3", "-1.(3)", "0.2(3)4"])
     def test_rejects(self, bad):
         with pytest.raises(DomainError):

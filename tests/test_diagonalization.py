@@ -5,11 +5,10 @@ import pytest
 
 from diagcf import (
     CFDiagonalFailure,
-    CFStream,
-    DigitStream,
     DomainError,
     InputError,
     RangeError,
+    Stream,
     calkin_wilf,
     cf_diagonal,
     cf_diagonal_over_rationals,
@@ -32,7 +31,7 @@ def cw_digit_rows(depth):
 
 
 def constant_digit_rows(digit, count):
-    return [DigitStream(itertools.repeat(digit)) for _ in range(count)]
+    return [Stream(itertools.repeat(digit), "decimal") for _ in range(count)]
 
 
 class TestDecimalDiagonal:
@@ -115,7 +114,7 @@ class TestRandomAccessRows:
     def test_decimal_same_over_entry_and_walk(self):
         values = calkin_wilf().take(5000)[4000:4000 + self.DEPTH]
         direct = [digits_of(v) for v in values]
-        walked = [DigitStream(digits_of(v)) for v in values]
+        walked = [Stream(digits_of(v), "decimal") for v in values]
         assert all(hasattr(r, "entry") for r in direct)
         assert not any(hasattr(r, "entry") for r in walked)
         assert decimal_diagonal(direct, self.DEPTH) == decimal_diagonal(walked, self.DEPTH)
@@ -130,20 +129,20 @@ class TestRandomAccessRows:
             return named_cf_stream(name)
 
         direct = [row(k) for k in range(1, self.DEPTH + 1)]
-        walked = [CFStream(row(k)) for k in range(1, self.DEPTH + 1)]
+        walked = [Stream(row(k), "cf") for k in range(1, self.DEPTH + 1)]
         assert cf_diagonal(direct, self.DEPTH) == cf_diagonal(walked, self.DEPTH)
 
     def test_verify_never_reads_entry(self):
         # row 3 lies through `entry` (5 where it walks 4s), so the built
         # digit there is 4 and equals the true diagonal digit
         def rows():
-            out = [DigitStream(itertools.repeat(0)) for _ in range(6)]
-            out[2] = DigitStream(itertools.repeat(4), at=lambda k: 5)
+            out = [Stream(itertools.repeat(0), "decimal") for _ in range(6)]
+            out[2] = Stream(itertools.repeat(4), "decimal", at=lambda k: 5)
             return out
 
         built = decimal_diagonal(rows(), 6)
         assert built.digits[2] == 4
-        honest = [DigitStream(itertools.repeat(4 if k == 3 else 0)) for k in range(1, 7)]
+        honest = [Stream(itertools.repeat(4 if k == 3 else 0), "decimal") for k in range(1, 7)]
         assert verify_differs(built, honest, 6) == (False, 3)
         # fresh rows with the same lie: only walking them finds the fault
         assert verify_differs(built, rows(), 6) == (False, 3)
@@ -153,7 +152,7 @@ class TestRandomAccessRows:
             raise AssertionError("verify_differs read a row through entry")
 
         built = decimal_diagonal(cw_digit_rows(20), 20)
-        fresh = [DigitStream(digits_of(v), at=refuse) for v in calkin_wilf().take(20)]
+        fresh = [Stream(digits_of(v), "decimal", at=refuse) for v in calkin_wilf().take(20)]
         assert verify_differs(built, fresh, 20) == (True, None)
 
 
@@ -170,12 +169,29 @@ class TestVerifyDiffers:
     def test_self_copy_fails_at_its_own_row(self):
         # row i holds the constant digit i; copying row 7 matches only there
         def rows():
-            return [DigitStream(itertools.repeat(i)) for i in range(1, 11)]
+            return [Stream(itertools.repeat(i), "decimal") for i in range(1, 11)]
 
         constructed = rows()[6].take(10)
         ok, counterexample = verify_differs(constructed, rows(), 10)
         assert not ok
         assert counterexample == 7
+
+    @pytest.mark.parametrize(
+        "kind, good, bad, message",
+        [
+            ("decimal", 1, 12, "digit out of range: 12"),
+            ("cf", 2, 0, "partial quotient at index 37 must be >= 1, got 0"),
+        ],
+    )
+    def test_planted_bad_item_in_a_walked_row(self, kind, good, bad, message):
+        # row 40 holds `bad` at index 37; nothing but the walk's check sees it
+        depth = 40
+        rows = [Stream(itertools.repeat(good), kind) for _ in range(depth - 1)]
+        first = 1 if kind == "decimal" else 0
+        rows.append(Stream([good] * (37 - first) + [bad] + [good] * 10, kind))
+        built = [5] * depth if kind == "decimal" else [0] + [good + 1] * depth
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            verify_differs(built, rows, depth)
 
     def test_depth_zero_is_vacuous(self):
         assert verify_differs([], [], 0) == (True, None)

@@ -1,16 +1,16 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from diagcf import (
     PI_PARTIAL_QUOTIENTS,
-    CFStream,
-    DigitStream,
     DomainError,
     RangeError,
+    Stream,
     calkin_wilf,
     convergents,
     digit_at,
@@ -95,7 +95,7 @@ class TestDigitsOf:
             digits_of(Fraction(-1, 2))
 
     def test_stream_invariant_enforced(self):
-        s = DigitStream(iter([3, 12]))
+        s = Stream(iter([3, 12]), "decimal")
         assert next(s) == 3
         with pytest.raises(DomainError, match="digit out of range"):
             next(s)
@@ -114,8 +114,8 @@ class TestDigitsOf:
         with pytest.raises(DomainError, match="entry index must be >= 1"):
             digits_of(Fraction(1, 3)).entry(0)
         with pytest.raises(DomainError, match="digit out of range: 12"):
-            DigitStream(iter([]), at=lambda k: 12).entry(1)
-        assert not hasattr(DigitStream(itertools.repeat(5)), "entry")
+            Stream(iter([]), "decimal", at=lambda k: 12).entry(1)
+        assert not hasattr(Stream(itertools.repeat(5), "decimal"), "entry")
 
 
 class TestNamedStreams:
@@ -157,10 +157,10 @@ class TestNamedStreams:
         with pytest.raises(DomainError, match="entry index must be >= 0"):
             named_cf_stream("e").entry(-1)
         with pytest.raises(DomainError, match="first partial quotient"):
-            CFStream(iter([]), at=lambda k: -1).entry(0)
+            Stream(iter([]), "cf", at=lambda k: -1).entry(0)
         with pytest.raises(DomainError, match="at index 3 must be >= 1"):
-            CFStream(iter([]), at=lambda k: 0).entry(3)
-        assert not hasattr(CFStream(itertools.repeat(2)), "entry")
+            Stream(iter([]), "cf", at=lambda k: 0).entry(3)
+        assert not hasattr(Stream(itertools.repeat(2), "cf"), "entry")
 
     def test_fresh_stream_per_call(self):
         a = named_cf_stream("sqrt2")
@@ -180,10 +180,10 @@ class TestNamedStreams:
             metallic(0)
 
     def test_stream_invariants_enforced(self):
-        s = CFStream(iter([-1]))
+        s = Stream(iter([-1]), "cf")
         with pytest.raises(DomainError):
             next(s)
-        s = CFStream(iter([1, 0]))
+        s = Stream(iter([1, 0]), "cf")
         next(s)
         with pytest.raises(DomainError):
             next(s)
@@ -219,3 +219,49 @@ class TestIrrationalEnumeration:
     def test_count_validation(self):
         with pytest.raises(DomainError):
             irrational_enumeration(0)
+
+
+# fresh-row factories: every kind, with and without `entry`
+row_makers = st.one_of(
+    st.just(calkin_wilf),
+    st.fractions(min_value=0, max_denominator=10**6)
+    .filter(lambda x: x < 10**6)
+    .map(lambda x: partial(digits_of, x)),
+    st.sampled_from(["sqrt2", "e", "phi", "pi", "metallic:7"]).map(
+        lambda name: partial(named_cf_stream, name)
+    ),
+)
+
+
+class TestStream:
+    # 24 + 24 stays inside pi's 48-entry table
+    @given(row_makers, st.integers(0, 24), st.integers(0, 24))
+    def test_take_is_next_repeated_and_entry(self, make, skip, n):
+        taken, stepped = make(), make()
+        taken.take(skip)
+        for _ in range(skip):
+            next(stepped)
+        run = taken.take(n)
+        assert run == [next(stepped) for _ in range(n)]
+        assert taken.position == stepped.position == skip + n
+        if hasattr(taken, "entry"):
+            first = taken.first_index + skip
+            assert run == [taken.entry(k) for k in range(first, first + n)]
+
+    def test_take_past_the_end_returns_what_is_left(self):
+        s = Stream(iter([1, 2, 3]), "cf")
+        assert s.take(5) == [1, 2, 3]
+        assert s.position == 3
+        assert s.take(2) == []
+        with pytest.raises(StopIteration):
+            next(s)
+
+    def test_failed_run_is_not_handed_out(self):
+        s = Stream(iter([3, 4, 12, 5]), "decimal")
+        with pytest.raises(DomainError, match="digit out of range: 12"):
+            s.take(4)
+        assert s.position == 0
+
+    def test_unknown_kind(self):
+        with pytest.raises(DomainError, match="unknown kind"):
+            Stream(iter([]), "binary")

@@ -5,7 +5,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from diagcf import DomainError, make_rational, parse_rational, to_string
+from diagcf import (
+    ContinuedFraction,
+    DomainError,
+    expand,
+    make_rational,
+    parse_cf,
+    parse_expansion,
+    parse_rational,
+    reconstruct,
+    to_string,
+)
 
 rationals = st.builds(
     make_rational,
@@ -91,3 +101,21 @@ def test_string_round_trip_past_the_int_string_limit(x):
 def test_to_string_past_the_int_string_limit():
     assert to_string(Fraction(10**4300)) == "1" + "0" * 4300
     assert to_string(Fraction(-1, 10**5000)) == "-1/1" + "0" * 5000
+
+
+def test_long_paths_leave_the_global_int_string_limit_alone():
+    # run under CPython's default limit: a limit of 0 would hide any plain
+    # int()/str() call on a long number
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        big = 10**5000
+        assert parse_rational(to_string(Fraction(big, 7))) == Fraction(big, 7)
+        assert reconstruct(expand(Fraction(1, 10007))) == Fraction(1, 10007)
+        cf = ContinuedFraction((big, 2))
+        assert parse_cf(str(cf)) == cf
+        e = expand(Fraction(big, 3))
+        assert parse_expansion(str(e)) == e
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(previous)

@@ -1,11 +1,11 @@
 import diagcf
 
 PUBLIC_NAMES = {
-    "ApproximationComparison", "CFDiagonalFailure", "CFDiagonalResult", "CFStream",
+    "ApproximationComparison", "CFDiagonalFailure", "CFDiagonalResult",
     "ContinuedFraction", "Convergent", "DecimalDiagonalResult", "DecimalExpansion",
-    "DiagonalWitness", "DigitStream", "DomainError", "InputError",
+    "DiagonalWitness", "DomainError", "InputError",
     "PI_PARTIAL_QUOTIENTS", "PeriodReport", "PeriodRuling", "Rational",
-    "RationalDiagonalReport", "RationalEnumeration", "RangeError", "VerifyResult",
+    "RationalDiagonalReport", "RangeError", "Stream", "VerifyResult",
     "approximation_compare", "calkin_wilf", "canonicalize", "cf_diagonal",
     "cf_diagonal_over_rationals", "convergents", "decimal_diagonal", "digit_at",
     "digits_of", "expand", "find_period_at_least", "format_witnesses",
@@ -19,7 +19,7 @@ PUBLIC_NAMES = {
 
 
 def test_all_is_the_pinned_surface_and_resolves():
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 50
     assert len(diagcf.__all__) == len(set(diagcf.__all__))
     assert set(diagcf.__all__) == PUBLIC_NAMES
     for name in diagcf.__all__:
