@@ -8,6 +8,7 @@ a domain/range/input error (message on stderr), 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -36,10 +37,16 @@ from .enumeration import (
     named_cf_stream,
 )
 from .errors import DomainError, InputError, RangeError
-from .exact_numbers import parse_rational, to_string
+from .exact_numbers import _int_from_digits, parse_rational, to_string
 
 DEFAULT_DEPTH = 20
 DEFAULT_EPS = 1e-9
+
+# the grammar of Fraction(str): "355/113", "5", "3.1416", "-.5e-3", "1_000"
+_NUMBER_RE = re.compile(
+    r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
+    r"(?:/(\d+(?:_\d+)*)|(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?)\s*"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,10 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = cf_cmds.add_parser("from-real", help="continued fraction of a machine real")
     p.add_argument("value", type=float, help="positive real, e.g. 1.41421356")
     p.add_argument(
-        "--eps",
-        type=float,
-        default=DEFAULT_EPS,
-        help="accuracy of the result (default 1e-9)",
+        "--eps", type=float, default=DEFAULT_EPS, help="accuracy of the result (default 1e-9)"
     )
     _add_format(p, ("bracket", "plain"))
 
@@ -78,9 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rational P/Q, CF literal, or sqrt2|e|phi|pi|metallic:<k>",
     )
     p.add_argument(
-        "--count",
-        type=int,
-        default=None,
+        "--count", type=int,
         help=f"how many convergents (default: all terms, or {DEFAULT_DEPTH} for streams)",
     )
 
@@ -150,11 +152,19 @@ def _add_format(p: argparse.ArgumentParser, choices: tuple[str, ...]) -> None:
 
 
 def _parse_number(text: str) -> Fraction:
-    # accepts "355/113", "5" and exact decimal literals like "3.1416"
+    # the value Fraction(text) gives, but with digit runs of any length
+    m = _NUMBER_RE.fullmatch(text)
     try:
-        return Fraction(text.strip())
+        if m is None:
+            raise ValueError(text)
+        sign, num, den, frac, exp = (g.replace("_", "") for g in m.groups(""))
+        value = Fraction(
+            _int_from_digits(num + frac or "0"), _int_from_digits(den or "1") * 10 ** len(frac)
+        )
+        value *= Fraction(10) ** int(exp or "0")  # as in Fraction(), int() bounds the exponent
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"invalid number literal: {text!r}") from None
+    return -value if sign == "-" else value
 
 
 def _render_cf(cf, fmt: str) -> str:
@@ -186,11 +196,9 @@ def _resolve_cf_source(text: str):
     except DomainError:
         if s.lower().startswith("metallic:"):  # no literal form to fall back on
             raise
-    if s.startswith("[") or (" " in s and "/" not in s):
-        cf = parse_cf(s)
-        return cf, len(cf.terms)
-    cf = from_rational(parse_rational(s))
-    return cf, len(cf.terms)
+    literal = s.startswith("[") or (" " in s and "/" not in s)
+    cf = parse_cf(s) if literal else from_rational(parse_rational(s))
+    return cf, len(cf)
 
 
 def _cmd_decimal(args) -> list[str]:

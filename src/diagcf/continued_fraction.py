@@ -13,51 +13,65 @@ structural. Non-canonical term lists are accepted everywhere as input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import DomainError, RangeError
 from .exact_numbers import Rational, _digits_of_int, _int_from_digits
 
+__all__ = (
+    "ApproximationComparison", "ContinuedFraction", "Convergent",
+    "approximation_compare", "canonicalize", "convergents",
+    "fractional_digit_budget", "from_rational", "from_real_approx", "parse_cf",
+    "to_plain_string", "to_rational",
+)
 
-def _validated_terms(terms: Iterable[int]) -> tuple[int, ...]:
-    ts = tuple(int(a) for a in terms)
-    if not ts:
-        raise DomainError("empty continued fraction")
-    if ts[0] < 0 or any(a < 1 for a in ts[1:]):
+
+def _quotients(items: Iterable[int]) -> tuple[int, ...]:
+    # the one quotient rule: integers, a_0 >= 0 and a_k >= 1 after it
+    try:
+        ts = tuple(map(operator.index, items))
+    except TypeError:
+        raise DomainError("partial quotients must be integers") from None
+    if ts and (ts[0] < 0 or min(ts[1:], default=1) < 1):
         raise DomainError("invalid partial quotient")
     return ts
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
-    """[a0; a1, ..., an] with a0 >= 0 and ai >= 1 for i >= 1."""
+class ContinuedFraction(tuple):
+    """[a0; a1, ..., an] with a0 >= 0 and ai >= 1 for i >= 1: the tuple of its terms."""
 
-    terms: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", _validated_terms(self.terms))
+    def __new__(cls, terms: Iterable[int]) -> ContinuedFraction:
+        if type(terms) is cls:  # already checked
+            return terms
+        ts = _quotients(terms)
+        if not ts:
+            raise DomainError("empty continued fraction")
+        return super().__new__(cls, ts)
+
+    @property
+    def terms(self) -> tuple[int, ...]:
+        return self
 
     @property
     def is_canonical(self) -> bool:
-        return len(self.terms) == 1 or self.terms[-1] >= 2
+        return len(self) == 1 or self[-1] >= 2
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self):
-        return iter(self.terms)
+    def __repr__(self) -> str:
+        return f"ContinuedFraction({tuple(self)!r})"
 
     def __str__(self) -> str:
-        head = _digits_of_int(self.terms[0])
-        if len(self.terms) == 1:
+        head = _digits_of_int(self[0])
+        if len(self) == 1:
             return f"[{head}]"
-        return f"[{head}; {', '.join(map(_digits_of_int, self.terms[1:]))}]"
+        return f"[{head}; {', '.join(map(_digits_of_int, self[1:]))}]"
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(NamedTuple):
     """Value of the length-(index+1) prefix, in lowest terms."""
 
     index: int
@@ -65,12 +79,6 @@ class Convergent:
 
 
 CFLike = Union[ContinuedFraction, Iterable[int]]
-
-
-def _terms_of(cf: CFLike) -> tuple[int, ...]:
-    if isinstance(cf, ContinuedFraction):
-        return cf.terms
-    return _validated_terms(cf)
 
 
 def from_rational(x: Rational) -> ContinuedFraction:
@@ -90,12 +98,12 @@ def from_rational(x: Rational) -> ContinuedFraction:
         if rem == 0:
             break
         num, den = den, rem
-    return ContinuedFraction(tuple(terms))
+    return ContinuedFraction(terms)
 
 
 def to_rational(cf: CFLike) -> Rational:
     """Exact value, folding back to front: rest -> a + 1/rest."""
-    terms = _terms_of(cf)
+    terms = ContinuedFraction(cf)
     # the (num, den) pair is the exact rational value of the suffix
     num, den = terms[-1], 1
     for a in reversed(terms[:-1]):
@@ -105,7 +113,7 @@ def to_rational(cf: CFLike) -> Rational:
 
 def canonicalize(terms: CFLike) -> ContinuedFraction:
     """Merge a trailing 1 into its predecessor; the value is unchanged."""
-    ts = _terms_of(terms)
+    ts = ContinuedFraction(terms)
     if len(ts) >= 2 and ts[-1] == 1:
         ts = ts[:-2] + (ts[-2] + 1,)
     return ContinuedFraction(ts)
@@ -129,15 +137,13 @@ def convergents(source, count: int) -> list[Convergent]:
     """
     if count < 1:
         raise RangeError("count must be >= 1")
-    if isinstance(source, ContinuedFraction) and count > len(source.terms):
-        raise RangeError(f"count {count} exceeds the {len(source.terms)} available terms")
-    out: list[Convergent] = []
-    # range comes first in zip, so no quotient past the count is pulled
-    for index, (_, h, k) in zip(range(count), _convergents(map(int, source))):
-        out.append(Convergent(index, Fraction(h, k)))
-    if len(out) < count:
+    if isinstance(source, ContinuedFraction) and count > len(source):
+        raise RangeError(f"count {count} exceeds the {len(source)} available terms")
+    # only the first `count` quotients are pulled, and they pass the quotient rule
+    quotients = _quotients(itertools.islice(source, count))
+    if len(quotients) < count:
         raise RangeError(f"count {count} exceeds the available terms")
-    return out
+    return [Convergent(i, Fraction(h, k)) for i, (_, h, k) in enumerate(_convergents(quotients))]
 
 
 def _exact(value, name: str) -> Fraction:
@@ -182,12 +188,11 @@ def from_real_approx(x, eps) -> ContinuedFraction:
 
 def fractional_digit_budget(cf: CFLike) -> int:
     """Total decimal digits across a_1..a_n, with a_0 excluded."""
-    terms = _terms_of(cf)
+    terms = ContinuedFraction(cf)
     return sum(len(_digits_of_int(a)) for a in terms[1:])
 
 
-@dataclass(frozen=True)
-class ApproximationComparison:
+class ApproximationComparison(NamedTuple):
     """Exact absolute errors of two approximations to the same target."""
 
     cf_error: Rational
@@ -212,7 +217,7 @@ def approximation_compare(
 
 def to_plain_string(cf: CFLike) -> str:
     """Space-separated partial quotients, e.g. "0 1 6"."""
-    return " ".join(map(_digits_of_int, _terms_of(cf)))
+    return " ".join(map(_digits_of_int, ContinuedFraction(cf)))
 
 
 def parse_cf(text: str) -> ContinuedFraction:

@@ -14,41 +14,54 @@ input as well, since the same value always has a plain representation.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError
 from .exact_numbers import Rational, _digits_of_int, _int_from_digits
 
+__all__ = (
+    "DecimalExpansion", "PeriodReport", "digit_at", "expand",
+    "find_period_at_least", "multiplicative_order", "parse_expansion",
+    "period_length", "period_length_by_order", "reconstruct",
+)
+
 _EXPANSION_RE = re.compile(r"^(\d+)\.(\d*)\((\d+)\)$")
 
 
-@dataclass(frozen=True)
-class DecimalExpansion:
+class DecimalExpansion(tuple):
     """integer_part.preperiod(period), e.g. "0.23(45)" or "5.(0)"."""
 
-    integer_part: int
-    preperiod: str
-    period: str
+    __slots__ = ()
+    integer_part = property(operator.itemgetter(0))
+    preperiod = property(operator.itemgetter(1))
+    period = property(operator.itemgetter(2))
 
-    def __post_init__(self) -> None:
-        if self.integer_part < 0:
+    def __new__(cls, integer_part: int, preperiod: str, period: str) -> DecimalExpansion:
+        if integer_part < 0:
             raise DomainError("negative integer part")
-        if not self.period:
+        if not period:
             raise DomainError("empty period")
-        for block in (self.preperiod, self.period):
-            if not all("0" <= c <= "9" for c in block):
+        for block in (preperiod, period):
+            if block and not (block.isascii() and block.isdigit()):
                 raise DomainError(f"invalid digit block: {block!r}")
-        if set(self.period) == {"9"}:
+        if set(period) == {"9"}:
             raise DomainError("nine-repeating period unsupported")
+        return super().__new__(cls, (integer_part, preperiod, period))
+
+    def __getnewargs__(self) -> tuple[int, str, str]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"DecimalExpansion{tuple(self)!r}"
 
     def __str__(self) -> str:
         return f"{_digits_of_int(self.integer_part)}.{self.preperiod}({self.period})"
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(NamedTuple):
     """Period and preperiod lengths; terminating decimals carry period "0"."""
 
     period_length: int

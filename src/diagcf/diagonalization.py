@@ -15,17 +15,23 @@ its own diagonal entry, as a checkable certificate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import ClassVar, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .continued_fraction import ContinuedFraction, from_rational
-from .enumeration import FIRST_INDEX, Stream, _check_digits, digits_of
+from .enumeration import FIRST_INDEX, Stream, digits_of
 from .errors import DomainError, InputError, RangeError
-from .exact_numbers import Rational
+from .exact_numbers import Rational, _digits_of_int
+
+__all__ = (
+    "CFDiagonalFailure", "CFDiagonalResult", "DecimalDiagonalResult",
+    "DiagonalWitness", "PeriodRuling", "RationalDiagonalReport", "VerifyResult",
+    "cf_diagonal", "cf_diagonal_over_rationals", "decimal_diagonal",
+    "format_witnesses", "rational_diagonal_analysis", "rule_out_periods",
+    "verify_differs",
+)
 
 
-@dataclass(frozen=True)
-class DiagonalWitness:
+class DiagonalWitness(NamedTuple):
     """Position k, the diagonal entry there, and what was built instead."""
 
     position: int
@@ -33,15 +39,14 @@ class DiagonalWitness:
     constructed: int  # d_0k or a_0k
 
 
-@dataclass(frozen=True)
-class DecimalDiagonalResult:
+class DecimalDiagonalResult(NamedTuple):
     """Digit prefix of the built number plus one witness per position."""
 
     integer_part: int
     digits: tuple[int, ...]
     witnesses: tuple[DiagonalWitness, ...]
 
-    kind: ClassVar[str] = "decimal"
+    kind = "decimal"
 
     def entry(self, position: int) -> int:
         return self.digits[position - 1]
@@ -50,14 +55,13 @@ class DecimalDiagonalResult:
         return f"{self.integer_part}." + "".join(str(d) for d in self.digits)
 
 
-@dataclass(frozen=True)
-class CFDiagonalResult:
+class CFDiagonalResult(NamedTuple):
     """Quotient prefix [a_00; a_01, ...] plus one witness per position."""
 
     terms: tuple[int, ...]
     witnesses: tuple[DiagonalWitness, ...]
 
-    kind: ClassVar[str] = "cf"
+    kind = "cf"
 
     def entry(self, position: int) -> int:
         return self.terms[position]
@@ -74,8 +78,7 @@ class VerifyResult(NamedTuple):
     counterexample: int | None
 
 
-@dataclass(frozen=True)
-class CFDiagonalFailure:
+class CFDiagonalFailure(NamedTuple):
     """Certificate that row k has no k-th partial quotient."""
 
     failing_index: int
@@ -84,19 +87,19 @@ class CFDiagonalFailure:
 
     @property
     def quotients_beyond_first(self) -> int:
-        return len(self.cf.terms) - 1
+        return len(self.cf) - 1
 
     def message(self) -> str:
         k = self.failing_index
         return (
             f"diagonal undefined at k={k}: CF of "
-            f"{self.rational.numerator}/{self.rational.denominator} "
+            f"{_digits_of_int(self.rational.numerator)}/"
+            f"{_digits_of_int(self.rational.denominator)} "
             f"= {self.cf} has no a_{k}{k}"
         )
 
 
-@dataclass(frozen=True)
-class PeriodRuling:
+class PeriodRuling(NamedTuple):
     """Whether a digit prefix is consistent with one (preperiod, period) shape.
 
     Inconsistency always names a concrete witness: the first position j
@@ -109,8 +112,7 @@ class PeriodRuling:
     witness_position: int | None
 
 
-@dataclass(frozen=True)
-class RationalDiagonalReport:
+class RationalDiagonalReport(NamedTuple):
     """Diagonal digits over an enumeration of rationals, plus the shapes
     of eventually periodic expansions that the prefix rules out."""
 
@@ -125,19 +127,20 @@ class RationalDiagonalReport:
         return tuple(r for r in self.rulings if not r.consistent)
 
 
-def _check_fresh(row) -> None:
-    if isinstance(row, Stream) and row.position != 0:
-        raise InputError(
-            "row stream already consumed; recreate streams to rewind"
-        )
+def _fresh_row(row, kind: str) -> Stream:
+    # a bare iterable is wrapped once, so every row passes its kind's check
+    if not isinstance(row, Stream):
+        return Stream(row, kind)
+    if row.kind != kind:
+        raise InputError(f"a {row.kind} stream cannot be a {kind} row")
+    if row.position != 0:
+        raise InputError("row stream already consumed; recreate streams to rewind")
+    return row
 
 
-def _nth_entry(row, position: int, kind: str) -> int:
-    steps = position + 1 - FIRST_INDEX[kind]
-    if isinstance(row, Stream):
-        run = row.take(steps)
-    else:
-        run = list(itertools.islice(row, steps))
+def _nth_entry(row: Stream, position: int) -> int:
+    steps = position + 1 - row.first_index
+    run = row.take(steps)
     if len(run) < steps:
         raise InputError(
             f"row exhausted after {len(run)} entries; position {position} needed"
@@ -159,11 +162,6 @@ def _check_shape(max_preperiod: int, max_period: int) -> None:
         raise DomainError("max_period must be >= 1")
 
 
-def _differing_digit(d_kk: int) -> int:
-    _check_digits(1, (d_kk,))  # a bare-iterable row has no check of its own
-    return 5 if d_kk != 5 else 4
-
-
 def _diagonal(rows: Sequence, depth: int, kind: str, rule):
     # a row with `entry` is read at position k directly, any other is walked
     if depth < 1:
@@ -172,10 +170,9 @@ def _diagonal(rows: Sequence, depth: int, kind: str, rule):
     built: list[int] = []
     witnesses: list[DiagonalWitness] = []
     for k in range(1, depth + 1):
-        row = rows[k - 1]
-        _check_fresh(row)
+        row = _fresh_row(rows[k - 1], kind)
         entry = getattr(row, "entry", None)
-        x_kk = entry(k) if entry is not None else _nth_entry(row, k, kind)
+        x_kk = entry(k) if entry is not None else _nth_entry(row, k)
         built.append(rule(x_kk))
         witnesses.append(DiagonalWitness(k, x_kk, built[-1]))
     return tuple(built), tuple(witnesses)
@@ -188,7 +185,7 @@ def decimal_diagonal(rows: Sequence, depth: int) -> DecimalDiagonalResult:
     O(depth log depth); other rows are walked up to it. Returns the digit
     prefix of the built number (integer part 0) with per-position witnesses.
     """
-    digits, witnesses = _diagonal(rows, depth, "decimal", _differing_digit)
+    digits, witnesses = _diagonal(rows, depth, "decimal", lambda d_kk: 5 if d_kk != 5 else 4)
     return DecimalDiagonalResult(0, digits, witnesses)
 
 
@@ -232,9 +229,7 @@ def verify_differs(constructed, rows: Sequence, depth: int, kind: str | None = N
         def built_at(position: int) -> int:
             return seq[position - first]
     for k in range(1, depth + 1):
-        row = rows[k - 1]
-        _check_fresh(row)
-        row_entry = _nth_entry(row, k, kind)
+        row_entry = _nth_entry(_fresh_row(rows[k - 1], kind), k)
         try:
             built = built_at(k)
         except IndexError:
@@ -255,7 +250,7 @@ def cf_diagonal_over_rationals(enumeration: Iterable[Rational]) -> CFDiagonalFai
     """
     for k, value in enumerate(enumeration, start=1):
         cf = from_rational(value)
-        if len(cf.terms) - 1 < k:
+        if len(cf) - 1 < k:
             return CFDiagonalFailure(k, value, cf)
     raise InputError("enumeration ended without exposing a missing diagonal entry")
 
@@ -321,16 +316,14 @@ def format_witnesses(
         diag_label, built_label = "a_kk", "a_0k"
     else:
         raise DomainError(f"unknown kind: {kind!r}")
-    if fmt == "tsv":
-        return "\n".join(
-            f"{w.position}\t{w.enumerated}\t{w.constructed}" for w in witnesses
-        )
-    if fmt != "table":
+    if fmt not in ("table", "tsv"):
         raise DomainError(f"unknown format: {fmt!r}")
-    lines = [f"{'k':>6}  {diag_label:>8}  {built_label:>8}  differs"]
+    lines = [] if fmt == "tsv" else [f"{'k':>6}  {diag_label:>8}  {built_label:>8}  differs"]
     for w in witnesses:
-        differs = "yes" if w.constructed != w.enumerated else "no"
-        lines.append(
-            f"{w.position:>6}  {w.enumerated:>8}  {w.constructed:>8}  {differs}"
-        )
+        enumerated, constructed = map(_digits_of_int, (w.enumerated, w.constructed))
+        if fmt == "tsv":
+            lines.append(f"{w.position}\t{enumerated}\t{constructed}")
+        else:
+            differs = "yes" if w.constructed != w.enumerated else "no"
+            lines.append(f"{w.position:>6}  {enumerated:>8}  {constructed:>8}  {differs}")
     return "\n".join(lines)

@@ -23,7 +23,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .decimal_expansion import digit_at
 from .errors import DomainError, RangeError
-from .exact_numbers import Rational, to_string
+from .exact_numbers import Rational, _digits_of_int, to_string
+
+__all__ = (
+    "PI_PARTIAL_QUOTIENTS", "Stream", "calkin_wilf", "digits_of",
+    "irrational_enumeration", "metallic", "named_cf_stream",
+)
 
 # First 48 partial quotients of pi (OEIS A001203), stored rather than
 # derived; the stream refuses to go past this table.
@@ -165,7 +170,7 @@ def metallic(k: int) -> Stream:
     """[k; k, k, k, ...]; k = 1 is the golden ratio."""
     if k < 1:
         raise DomainError("metallic index must be >= 1")
-    return Stream(itertools.repeat(k), "cf", f"metallic:{k}", at=lambda _: k)
+    return Stream(itertools.repeat(k), "cf", f"metallic:{_digits_of_int(k)}", at=lambda _: k)
 
 
 def _e_quotients() -> Iterator[int]:

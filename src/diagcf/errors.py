@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ("DomainError", "InputError", "RangeError")
+
 
 class DomainError(ValueError):
     """An argument lies outside an operation's domain."""

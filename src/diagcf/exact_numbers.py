@@ -14,6 +14,8 @@ from fractions import Fraction
 
 from .errors import DomainError
 
+__all__ = ("Rational", "make_rational", "parse_rational", "to_string")
+
 Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")

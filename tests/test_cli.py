@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,38 @@ class TestApprox:
         assert (code, err) == (0, "")
         assert out.startswith("cf error: " + "9" * 5000 + "\n")
         assert out.endswith("closer: tie\n")
+
+    @pytest.mark.parametrize(
+        "target, error",
+        [
+            ("7" * 5000, "7" * 5000),
+            ("2" + "0" * 4999 + "/1" + "0" * 4999, "2"),
+            ("0." + "0" * 4999 + "5", "1/2" + "0" * 4999),
+        ],
+        ids=["integer", "p/q", "decimal"],
+    )
+    def test_long_literals_parse(self, capsys, target, error):
+        # each literal has 5000 digits, past the 4300 that Fraction(str) takes
+        code, out, err = invoke(capsys, "approx", "compare", target, "0", "0")
+        assert (code, err) == (0, "")
+        assert out == f"cf error: {error}\ndecimal error: {error}\ncloser: tie\n"
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["355/113", "-2", "+3", " 7 ", ".5", "5.", "1e5", "1E-3", "+.5e-3", "1_000",
+         "1_0.2_5e1_0", "0/5", "00012/0004"],
+    )
+    def test_literals_keep_their_fraction_value(self, capsys, literal):
+        code, out, _ = invoke(capsys, "approx", "compare", literal, "0", literal)
+        assert code == 0
+        cf_error = out.split("\n")[0].removeprefix("cf error: ")
+        assert Fraction(cf_error) == abs(Fraction(literal))
+
+    @pytest.mark.parametrize("literal", ["1/0", "nan", "inf", "abc", "1/", "1.5/2", "1__0", "1e"])
+    def test_bad_number_literal_is_a_one_line_error(self, capsys, literal):
+        code, out, err = invoke(capsys, "approx", "compare", literal, "1", "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: invalid number literal: {literal!r}\n"
 
 
 class TestErrorsAndExitCodes:

@@ -61,6 +61,21 @@ class TestContinuedFractionType:
         with pytest.raises(DomainError, match="invalid partial quotient"):
             ContinuedFraction((1, 2, 0))
 
+    def test_rejects_non_integer_terms(self):
+        # a fractional quotient used to be truncated: (1, 2.5) read as [1; 2]
+        with pytest.raises(DomainError, match="must be integers"):
+            ContinuedFraction((1, 2.5))
+        with pytest.raises(DomainError, match="must be integers"):
+            to_rational([0, 1.5])
+
+    def test_is_the_tuple_of_its_terms(self):
+        cf = ContinuedFraction([0, 1, 6])
+        assert cf == (0, 1, 6) and cf.terms == (0, 1, 6) and cf[2] == 6
+        a0, *rest = cf
+        assert (a0, rest, len(cf)) == (0, [1, 6], 3)
+        assert ContinuedFraction(cf) is cf
+        assert repr(cf) == "ContinuedFraction((0, 1, 6))"
+
 
 class TestFromRational:
     def test_examples(self):
@@ -152,6 +167,17 @@ class TestConvergents:
             convergents(ContinuedFraction((5,)), 0)
         with pytest.raises(RangeError):
             convergents([3, 7], 3)
+
+    def test_plain_list_obeys_the_quotient_rule(self):
+        # these ended in ZeroDivisionError and in the value -1
+        with pytest.raises(DomainError, match="invalid partial quotient"):
+            convergents([1, 0, 2], 3)
+        with pytest.raises(DomainError, match="invalid partial quotient"):
+            convergents([0, -1], 2)
+        with pytest.raises(DomainError, match="must be integers"):
+            convergents([1, 2.5], 2)
+        # only the first `count` items are read, so a bad later one is never seen
+        assert convergents([1, 2, 0], 2)[-1].value == Fraction(3, 2)
 
     def test_recurrence_matches_prefix_fold(self):
         rng = random.Random(7)

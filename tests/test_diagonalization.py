@@ -5,6 +5,7 @@ import pytest
 
 from diagcf import (
     CFDiagonalFailure,
+    DiagonalWitness,
     DomainError,
     InputError,
     RangeError,
@@ -98,6 +99,17 @@ class TestCFDiagonal:
         result = cf_diagonal([named_cf_stream("e")], 1)
         assert result.terms == (0, 2)
         assert result.witnesses[0].enumerated == 1
+
+    def test_bare_row_gets_the_quotient_check(self):
+        # quotient 0 at a_11 used to be read, and [0; 1] was built from it
+        with pytest.raises(DomainError, match="^partial quotient at index 1 must be >= 1, got 0$"):
+            cf_diagonal([[1, 0]], 1)
+
+    def test_row_of_another_kind_is_refused(self):
+        with pytest.raises(InputError, match="a cf stream cannot be a decimal row"):
+            decimal_diagonal([metallic(12)], 1)
+        with pytest.raises(InputError, match="a decimal stream cannot be a cf row"):
+            verify_differs([0, 2], cw_digit_rows(1), 1, kind="cf")
 
     def test_prefix_is_valid_cf(self):
         result = cf_diagonal(irrational_enumeration(6), 6)
@@ -193,6 +205,11 @@ class TestVerifyDiffers:
         with pytest.raises(DomainError, match=f"^{message}$"):
             verify_differs(built, rows, depth)
 
+    def test_bare_row_gets_the_digit_check(self):
+        # digit 12 in a bare list used to pass, and the verdict was ok=True
+        with pytest.raises(DomainError, match="^digit out of range: 12$"):
+            verify_differs([5], [[12]], 1, kind="decimal")
+
     def test_depth_zero_is_vacuous(self):
         assert verify_differs([], [], 0) == (True, None)
 
@@ -239,6 +256,11 @@ class TestCFDiagonalOverRationals:
         cf = from_rational(failure.rational)
         assert cf.terms == failure.cf.terms
         assert len(cf.terms) - 1 < failure.failing_index
+
+    def test_message_past_the_int_string_limit(self):
+        failure = cf_diagonal_over_rationals([Fraction(10**5000)])
+        big = "1" + "0" * 5000
+        assert failure.message() == f"diagonal undefined at k=1: CF of {big}/1 = [{big}] has no a_11"
 
     def test_exhausted_enumeration(self):
         with pytest.raises(InputError, match="without exposing"):
@@ -311,6 +333,14 @@ class TestFormatWitnesses:
     def test_tsv(self):
         result = decimal_diagonal(constant_digit_rows(0, 2), 2)
         assert format_witnesses(result.witnesses, "decimal", "tsv") == "1\t0\t5\n2\t0\t5"
+
+    def test_quotients_past_the_int_string_limit(self):
+        big = 10**5000
+        witnesses = [DiagonalWitness(1, big, big + 1)]
+        digits = "1" + "0" * 5000
+        assert format_witnesses(witnesses, "cf", "tsv") == f"1\t{digits}\t{digits[:-1]}1"
+        row = format_witnesses(witnesses, "cf").split("\n")[1]
+        assert row == f"     1  {digits}  {digits[:-1]}1  yes"
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -179,6 +179,11 @@ class TestNamedStreams:
         with pytest.raises(DomainError):
             metallic(0)
 
+    def test_metallic_past_the_int_string_limit(self):
+        s = metallic(10**5000)
+        assert s.description == "metallic:1" + "0" * 5000
+        assert s.entry(3) == 10**5000
+
     def test_stream_invariants_enforced(self):
         s = Stream(iter([-1]), "cf")
         with pytest.raises(DomainError):

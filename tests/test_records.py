@@ -1,0 +1,125 @@
+"""The result records are tuples: cheap to import, immutable, and the two
+checked values (`ContinuedFraction`, `DecimalExpansion`) have no way in
+that skips their checks."""
+
+import copy
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import diagcf
+from diagcf import (
+    ContinuedFraction,
+    DecimalExpansion,
+    DiagonalWitness,
+    DomainError,
+    approximation_compare,
+    calkin_wilf,
+    cf_diagonal,
+    cf_diagonal_over_rationals,
+    convergents,
+    decimal_diagonal,
+    digits_of,
+    expand,
+    from_rational,
+    irrational_enumeration,
+    period_length,
+    rational_diagonal_analysis,
+    rule_out_periods,
+    verify_differs,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = ("continued_fraction", "decimal_expansion", "diagonalization",
+           "enumeration", "errors", "exact_numbers")
+
+
+def one_of_each_record():
+    rows = [digits_of(v) for v in calkin_wilf().take(3)]
+    built = decimal_diagonal(rows, 3)
+    return [
+        from_rational(Fraction(6, 7)),
+        expand(Fraction(1, 6)),
+        period_length(Fraction(1, 6)),
+        convergents(from_rational(Fraction(6, 7)), 1)[0],
+        approximation_compare(Fraction(1, 3), Fraction(1, 3), Fraction(1, 4)),
+        DiagonalWitness(1, 0, 5),
+        built,
+        cf_diagonal(irrational_enumeration(2), 2),
+        verify_differs(built, [digits_of(v) for v in calkin_wilf().take(3)], 3),
+        cf_diagonal_over_rationals(calkin_wilf()),
+        rule_out_periods([1, 2, 1, 2], 0, 1)[0],
+        rational_diagonal_analysis(calkin_wilf(), 13, 3, 5),
+    ]
+
+
+def fields(record):
+    if isinstance(record, ContinuedFraction):
+        return ("terms",)
+    if isinstance(record, DecimalExpansion):
+        return ("integer_part", "preperiod", "period")
+    return record._fields
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import diagcf.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(SRC)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("record", one_of_each_record(), ids=lambda r: type(r).__name__)
+def test_records_are_immutable_tuples(record):
+    assert isinstance(record, tuple)
+    for name in fields(record):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_records_unpack_and_compare_as_tuples():
+    whole, preperiod, period = expand(Fraction(1, 6))
+    assert (whole, preperiod, period) == (0, "1", "6")
+    assert expand(Fraction(1, 6)) == (0, "1", "6")
+    assert repr(expand(Fraction(1, 6))) == "DecimalExpansion(0, '1', '6')"
+    assert period_length(Fraction(1, 7)) == (6, 0, False)
+    assert len(DiagonalWitness(1, 0, 5)) == 3
+
+
+@pytest.mark.parametrize(
+    "cls, public",
+    [
+        (ContinuedFraction, {"terms", "is_canonical"}),
+        (DecimalExpansion, {"integer_part", "preperiod", "period"}),
+    ],
+)
+def test_checked_values_offer_no_unchecked_constructor(cls, public):
+    # namedtuple's _make and _replace would build a value without the check
+    assert not hasattr(cls, "_make") and not hasattr(cls, "_replace")
+    assert {n for n in dir(cls) if not n.startswith("_")} - set(dir(tuple)) == public
+
+
+@pytest.mark.parametrize("block", ["1a", " 1", "\N{ARABIC-INDIC DIGIT THREE}", "\N{SUPERSCRIPT TWO}"])
+def test_digit_blocks_are_ascii_digits(block):
+    with pytest.raises(DomainError, match="invalid digit block"):
+        DecimalExpansion(0, block, "0")
+    with pytest.raises(DomainError, match="invalid digit block"):
+        DecimalExpansion(0, "", block)
+
+
+def test_each_public_name_is_listed_by_exactly_one_module():
+    listed = [name for module in MODULES for name in getattr(diagcf, module).__all__]
+    assert len(listed) == len(set(listed))
+    assert tuple(diagcf.__all__) == tuple(listed)
