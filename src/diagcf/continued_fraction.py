@@ -137,12 +137,10 @@ def convergents(source, count: int) -> list[Convergent]:
     """
     if count < 1:
         raise RangeError("count must be >= 1")
-    if isinstance(source, ContinuedFraction) and count > len(source):
-        raise RangeError(f"count {count} exceeds the {len(source)} available terms")
     # only the first `count` quotients are pulled, and they pass the quotient rule
     quotients = _quotients(itertools.islice(source, count))
     if len(quotients) < count:
-        raise RangeError(f"count {count} exceeds the available terms")
+        raise RangeError(f"count {count} exceeds the {len(quotients)} available terms")
     return [Convergent(i, Fraction(h, k)) for i, (_, h, k) in enumerate(_convergents(quotients))]
 
 

@@ -73,24 +73,20 @@ def expand(x: Rational) -> DecimalExpansion:
     """Minimal (preperiod, period) of x >= 0 by long division.
 
     The remainder sequence p*10^j mod q repeats exactly when the digits
-    do, so the first repeated remainder marks both the minimal preperiod
-    and the minimal period.
+    do, so the first repeated remainder marks the minimal preperiod and
+    period. Remainder 0 repeats at once with digit 0: period "0".
     """
     if x < 0:
         raise DomainError("negative input")
-    whole, rem = divmod(x.numerator, x.denominator)
     den = x.denominator
-    if rem == 0:
-        return DecimalExpansion(whole, "", "0")
+    whole, rem = divmod(x.numerator, den)
     digits: list[str] = []
     seen: dict[int, int] = {}
-    while rem != 0 and rem not in seen:
+    while rem not in seen:
         seen[rem] = len(digits)
         rem *= 10
         digits.append(str(rem // den))
         rem %= den
-    if rem == 0:
-        return DecimalExpansion(whole, "".join(digits), "0")
     start = seen[rem]
     return DecimalExpansion(whole, "".join(digits[:start]), "".join(digits[start:]))
 
@@ -104,24 +100,20 @@ def period_length(x: Rational) -> PeriodReport:
 def period_length_by_order(x: Rational) -> PeriodReport:
     """Same report derived from number theory instead of long division.
 
-    Write the reduced denominator as 2^a * 5^b * d with gcd(d, 10) = 1:
-    the preperiod length is max(a, b) and the period length is the
-    multiplicative order of 10 modulo d (terminating when d = 1).
+    Each division by gcd(den, 10) > 1 removes one 2 and one 5 from the
+    reduced denominator 2^a * 5^b * d: one preperiod digit, max(a, b) in
+    all. The period is the order of 10 modulo d (terminating if d = 1).
     """
     if x < 0:
         raise DomainError("negative input")
     den = x.denominator
-    a = 0
-    while den % 2 == 0:
-        den //= 2
-        a += 1
-    b = 0
-    while den % 5 == 0:
-        den //= 5
-        b += 1
+    preperiod = 0
+    while (g := math.gcd(den, 10)) > 1:
+        den //= g
+        preperiod += 1
     if den == 1:
-        return PeriodReport(1, max(a, b), True)
-    return PeriodReport(multiplicative_order(10, den), max(a, b), False)
+        return PeriodReport(1, preperiod, True)
+    return PeriodReport(multiplicative_order(10, den), preperiod, False)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -138,34 +130,20 @@ def _prime_factors(n: int) -> list[int]:
     return factors
 
 
-def _carmichael(n: int) -> int:
-    lam = 1
-    rest = n
-    for p in _prime_factors(n):
-        e = 0
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        if p == 2 and e >= 3:
-            block = 2 ** (e - 2)
-        else:
-            block = (p - 1) * p ** (e - 1)
-        lam = math.lcm(lam, block)
-    return lam
-
-
 def multiplicative_order(base: int, modulus: int) -> int:
     """Least l >= 1 with base**l = 1 (mod modulus).
 
-    The order divides the Carmichael function of the modulus, so it is
-    found by stripping prime factors from that bound; trial-division
-    factoring is plenty at the scales this package works at.
+    The order divides Euler's phi(n) = n * prod(1 - 1/p) over the primes
+    p of n, so stripping prime factors from phi(n) finds it; trial
+    division factors fast enough at the scales this package works at.
     """
     if modulus < 2:
         raise DomainError("modulus must be >= 2")
     if math.gcd(base, modulus) != 1:
         raise DomainError("base and modulus must be coprime")
-    order = _carmichael(modulus)
+    order = modulus
+    for p in _prime_factors(modulus):
+        order = order // p * (p - 1)
     for p in _prime_factors(order):
         while order % p == 0 and pow(base, order // p, modulus) == 1:
             order //= p
@@ -187,33 +165,32 @@ def digit_at(x: Rational, j: int) -> int:
 
 
 def reconstruct(e: DecimalExpansion) -> Rational:
-    """Exact value of an expansion via the geometric-series closed form."""
-    p = len(e.preperiod)
-    l = len(e.period)
-    value = Fraction(e.integer_part)
-    if e.preperiod:
-        value += Fraction(_int_from_digits(e.preperiod), 10**p)
-    value += Fraction(_int_from_digits(e.period), 10**p * (10**l - 1))
-    return value
+    """Exact value of an expansion as one fraction, without long division.
+
+    w.u(v) = w + (int(uv) - int(u)) / (10^|u| * (10^|v| - 1)), the
+    geometric-series closed form; an empty preperiod reads as 0.
+    """
+    u, v = e.preperiod, e.period
+    den = 10 ** len(u) * (10 ** len(v) - 1)
+    num = _int_from_digits(u + v) - _int_from_digits(u or "0")
+    return Fraction(e.integer_part * den + num, den)
 
 
 def find_period_at_least(min_length: int) -> Rational:
     """Some 1/d whose period length is at least min_length.
 
-    Scans denominators coprime to 10 in increasing order and tests the
-    multiplicative order of 10; the winner is re-verified by expand.
-    The scan always terminates: the order of 10 mod a prime can be as
-    large as p - 1, so arbitrarily long periods exist.
+    Scans d coprime to 10 for an order of 10 >= min_length, from
+    min_length + 1 since that order is at most d - 1; expand re-verifies
+    the winner. The scan ends: the order of 10 mod 10^k - 1 is k.
     """
     if min_length < 1:
         raise DomainError("period length bound must be >= 1")
-    d = 3
+    d = max(3, min_length + 1)
     while True:
-        if math.gcd(d, 10) == 1:
-            if multiplicative_order(10, d) >= min_length:
-                result = Fraction(1, d)
-                assert len(expand(result).period) >= min_length
-                return result
+        if math.gcd(d, 10) == 1 and multiplicative_order(10, d) >= min_length:
+            result = Fraction(1, d)
+            assert len(expand(result).period) >= min_length
+            return result
         d += 1
 
 

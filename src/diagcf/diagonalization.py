@@ -173,6 +173,10 @@ def _diagonal(rows: Sequence, depth: int, kind: str, rule):
         row = _fresh_row(rows[k - 1], kind)
         entry = getattr(row, "entry", None)
         x_kk = entry(k) if entry is not None else _nth_entry(row, k)
+        # walked quotient runs are only range-checked, since an integer test
+        # per item slowed the verify walk; what is built on is checked here
+        if not isinstance(x_kk, int):
+            raise DomainError(f"entry {k} of row {k} must be an integer, got {x_kk!r}")
         built.append(rule(x_kk))
         witnesses.append(DiagonalWitness(k, x_kk, built[-1]))
     return tuple(built), tuple(witnesses)

@@ -40,9 +40,15 @@ PI_PARTIAL_QUOTIENTS: tuple[int, ...] = (
 
 
 def _check_digits(index: int, run: Sequence[int]) -> None:
-    if run and (min(run) < 0 or max(run) > 9):
-        bad = next(d for d in run if not 0 <= d <= 9)
-        raise DomainError(f"digit out of range: {bad}")
+    try:  # bytes() takes only integers in 0..255, in one C pass
+        if max(bytes(run), default=0) <= 9:
+            return
+    except (TypeError, ValueError):
+        pass
+    bad = next(d for d in run if not (isinstance(d, int) and 0 <= d <= 9))
+    if not isinstance(bad, int):
+        raise DomainError(f"digit must be an integer, got {bad!r}")
+    raise DomainError(f"digit out of range: {bad}")
 
 
 def _check_quotients(index: int, run: Sequence[int]) -> None:

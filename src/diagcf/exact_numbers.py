@@ -71,7 +71,5 @@ def parse_rational(text: str) -> Rational:
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise DomainError(f"invalid rational literal: {text!r}")
-    if "/" in s:
-        num, den = s.split("/")
-        return make_rational(_int_from_digits(num), _int_from_digits(den))
-    return Fraction(_int_from_digits(s))
+    num, _, den = s.partition("/")
+    return make_rational(_int_from_digits(num), _int_from_digits(den or "1"))

@@ -168,6 +168,11 @@ class TestConvergents:
         with pytest.raises(RangeError):
             convergents([3, 7], 3)
 
+    def test_count_error_names_the_available_terms(self):
+        for source in (ContinuedFraction((0, 1, 6)), [0, 1, 6], iter([0, 1, 6])):
+            with pytest.raises(RangeError, match="^count 4 exceeds the 3 available terms$"):
+                convergents(source, 4)
+
     def test_plain_list_obeys_the_quotient_rule(self):
         # these ended in ZeroDivisionError and in the value -1
         with pytest.raises(DomainError, match="invalid partial quotient"):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import diagcf.decimal_expansion
 from diagcf import (
     DecimalExpansion,
     DomainError,
@@ -157,6 +158,12 @@ class TestMultiplicativeOrder:
             b = rng.randint(2, 500)
             if math.gcd(b, n) == 1:
                 assert multiplicative_order(b, n) == order_brute(b, n)
+        # powers of two, where Carmichael's lambda is half of Euler's phi
+        for e in range(1, 13):
+            for n in (2**e, 3 * 2**e):
+                for b in (3, 5, 7):
+                    if math.gcd(b, n) == 1:
+                        assert multiplicative_order(b, n) == order_brute(b, n)
 
     def test_errors(self):
         with pytest.raises(DomainError):
@@ -204,6 +211,16 @@ class TestReconstruct:
     def test_leading_zero_preperiod(self):
         assert reconstruct(DecimalExpansion(0, "02", "0")) == Fraction(1, 50)
 
+    @given(
+        st.integers(0, 10**6),
+        st.one_of(st.text("0123456789", max_size=6), st.sampled_from(["0", "00", "090"])),
+        st.one_of(st.text("0123456789", min_size=1, max_size=6), st.sampled_from(["0", "00", "09"])),
+    )
+    def test_non_canonical_expansions(self, w, u, v):
+        # any block pair, not just expand's minimal one, against the three-term sum
+        if set(v) != {"9"}:
+            assert reconstruct(DecimalExpansion(w, u, v)) == reconstruct_raw(w, u, v)
+
     def test_malformed_rejected_at_construction(self):
         with pytest.raises(DomainError):
             DecimalExpansion(0, "2a", "5")
@@ -223,6 +240,34 @@ class TestFindPeriodAtLeast:
         assert find_period_at_least(6) == Fraction(1, 7)
         # 10 is a primitive root mod 17
         assert find_period_at_least(16) == Fraction(1, 17)
+
+    def test_least_answer(self):
+        # brute force: the first d >= 3 coprime to 10 whose order is long enough
+        orders = {}
+        for bound in range(1, 301):
+            d = 3
+            while True:
+                if math.gcd(d, 10) == 1:
+                    if d not in orders:
+                        orders[d] = order_brute(10, d)
+                    if orders[d] >= bound:
+                        break
+                d += 1
+            assert find_period_at_least(bound) == Fraction(1, d)
+
+    def test_scan_skips_denominators_too_small_to_qualify(self, monkeypatch):
+        # the order of 10 mod d is at most d - 1, so no d <= 1000 can have one >= 1000
+        moduli = []
+        order = diagcf.decimal_expansion.multiplicative_order
+
+        def spy(base, modulus):
+            moduli.append(modulus)
+            return order(base, modulus)
+
+        monkeypatch.setattr(diagcf.decimal_expansion, "multiplicative_order", spy)
+        x = find_period_at_least(1000)
+        assert moduli and min(moduli) > 1000
+        assert len(expand(x).period) >= 1000
 
     def test_verified_by_expand(self):
         for bound in range(1, 31):

@@ -75,6 +75,11 @@ class TestDecimalDiagonal:
         with pytest.raises(InputError, match="already consumed"):
             decimal_diagonal(rows, 2)
 
+    def test_non_integer_digit_in_a_bare_row(self):
+        # 3.0 used to be built into a result whose witness table raised AttributeError
+        with pytest.raises(DomainError, match=r"^digit must be an integer, got 3\.0$"):
+            decimal_diagonal([[3.0]], 1)
+
     def test_depth_validation(self):
         with pytest.raises(DomainError):
             decimal_diagonal([], 0)
@@ -104,6 +109,14 @@ class TestCFDiagonal:
         # quotient 0 at a_11 used to be read, and [0; 1] was built from it
         with pytest.raises(DomainError, match="^partial quotient at index 1 must be >= 1, got 0$"):
             cf_diagonal([[1, 0]], 1)
+
+    def test_non_integer_diagonal_quotient(self):
+        # 2.0 passes the walk's >= 1 check; the built quotient would be 3.0
+        with pytest.raises(DomainError, match=r"^entry 1 of row 1 must be an integer, got 2\.0$"):
+            cf_diagonal([[1, 2.0]], 1)
+        row = Stream(iter([]), "cf", at=lambda k: Fraction(3))
+        with pytest.raises(DomainError, match="^entry 1 of row 1 must be an integer"):
+            cf_diagonal([row], 1)
 
     def test_row_of_another_kind_is_refused(self):
         with pytest.raises(InputError, match="a cf stream cannot be a decimal row"):

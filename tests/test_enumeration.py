@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -270,3 +271,16 @@ class TestStream:
     def test_unknown_kind(self):
         with pytest.raises(DomainError, match="unknown kind"):
             Stream(iter([]), "binary")
+
+    @pytest.mark.parametrize(
+        "items, bad", [([3, 2.5], "2.5"), ([3.0], "3.0"), ([1, "2"], "'2'")]
+    )
+    def test_non_integer_digits_rejected(self, items, bad):
+        # floats used to pass the 0..9 comparisons
+        message = f"^digit must be an integer, got {re.escape(bad)}$"
+        s = Stream(iter(items), "decimal")
+        with pytest.raises(DomainError, match=message):
+            s.take(len(items))
+        assert s.position == 0
+        with pytest.raises(DomainError, match=message):
+            Stream(iter([]), "decimal", at=lambda k: items[-1]).entry(1)
