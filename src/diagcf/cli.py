@@ -41,6 +41,9 @@ from .exact_numbers import _int_from_digits, parse_rational, to_string
 
 DEFAULT_DEPTH = 20
 DEFAULT_EPS = 1e-9
+# largest exponent magnitude a number literal may carry: 10**exponent is
+# built and may be printed in full, at a cost quadratic in its digits
+MAX_EXPONENT = 100_000
 
 # the grammar of Fraction(str): "355/113", "5", "3.1416", "-.5e-3", "1_000"
 _NUMBER_RE = re.compile(
@@ -152,7 +155,8 @@ def _add_format(p: argparse.ArgumentParser, choices: tuple[str, ...]) -> None:
 
 
 def _parse_number(text: str) -> Fraction:
-    # the value Fraction(text) gives, but with digit runs of any length
+    # the value Fraction(text) gives, but with digit runs of any length and
+    # the exponent refused past MAX_EXPONENT before 10**exponent is computed
     m = _NUMBER_RE.fullmatch(text)
     try:
         if m is None:
@@ -161,9 +165,14 @@ def _parse_number(text: str) -> Fraction:
         value = Fraction(
             _int_from_digits(num + frac or "0"), _int_from_digits(den or "1") * 10 ** len(frac)
         )
-        value *= Fraction(10) ** int(exp or "0")  # as in Fraction(), int() bounds the exponent
+        exponent = int(exp or "0")
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"invalid number literal: {text!r}") from None
+    if abs(exponent) > MAX_EXPONENT:
+        raise RangeError(
+            f"exponent {exponent} of {text.strip()!r} exceeds {MAX_EXPONENT} in magnitude"
+        )
+    value *= Fraction(10) ** exponent
     return -value if sign == "-" else value
 
 

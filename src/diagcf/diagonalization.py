@@ -18,7 +18,7 @@ import itertools
 from typing import Iterable, NamedTuple, Sequence
 
 from .continued_fraction import ContinuedFraction, from_rational
-from .enumeration import FIRST_INDEX, Stream, digits_of
+from .enumeration import FIRST_INDEX, Stream, _NonIntegerQuotient, digits_of
 from .errors import DomainError, InputError, RangeError
 from .exact_numbers import Rational, _digits_of_int
 
@@ -172,9 +172,14 @@ def _diagonal(rows: Sequence, depth: int, kind: str, rule):
     for k in range(1, depth + 1):
         row = _fresh_row(rows[k - 1], kind)
         entry = getattr(row, "entry", None)
-        x_kk = entry(k) if entry is not None else _nth_entry(row, k)
-        # walked quotient runs are only range-checked, since an integer test
-        # per item slowed the verify walk; what is built on is checked here
+        try:
+            x_kk = entry(k) if entry is not None else _nth_entry(row, k)
+        except _NonIntegerQuotient as exc:  # named with the row that holds it
+            raise DomainError(
+                f"entry {exc.index} of row {k} must be an integer, got {exc.value!r}"
+            ) from None
+        # bytes() takes int-likes such as numpy.int64, so a digit run's check
+        # lets them through; what is built on must be an int
         if not isinstance(x_kk, int):
             raise DomainError(f"entry {k} of row {k} must be an integer, got {x_kk!r}")
         built.append(rule(x_kk))
@@ -213,7 +218,9 @@ def verify_differs(constructed, rows: Sequence, depth: int, kind: str | None = N
     `constructed` is a diagonal result or a plain entry sequence (for
     decimal rows item 0 is position 1; for cf rows item 0 is a_00).
     Rows are walked, never read through `entry`, so this stays independent
-    of the construction (and O(depth^2)); pass fresh streams. Returns the
+    of the construction; pass fresh streams. The walk is O(depth^2) items,
+    but `digits_of` rows hand out their digits a block at a time, so it
+    takes only O(depth log depth) Python steps over them. Returns the
     first failing position as the counterexample; depth 0 is vacuously true.
     """
     if depth == 0:

@@ -11,7 +11,9 @@ The package's own rows (`digits_of`, `metallic`, `named_cf_stream`)
 also answer `entry(k)`: item k computed directly, in O(log k) for a
 rational's digits and O(1) for the named quotient streams, without
 moving the position. Streams built from a bare iterable have no
-`entry` and can only be walked.
+`entry` and can only be walked. A rational's digits are walked by long
+division a block of up to 1024 digits at a time, so walking k digits
+takes O(log k) Python steps; `take` moves the digits themselves in C.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ PI_PARTIAL_QUOTIENTS: tuple[int, ...] = (
 )
 
 
+# ASCII digits to their values, so iterating a block yields ints 0..9
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
 def _check_digits(index: int, run: Sequence[int]) -> None:
     try:  # bytes() takes only integers in 0..255, in one C pass
         if max(bytes(run), default=0) <= 9:
@@ -51,8 +57,23 @@ def _check_digits(index: int, run: Sequence[int]) -> None:
     raise DomainError(f"digit out of range: {bad}")
 
 
+class _NonIntegerQuotient(DomainError):
+    """A partial quotient that is not an int, found at `index`."""
+
+    def __init__(self, index: int, value):
+        super().__init__(f"partial quotient must be an integer, got {value!r}")
+        self.index, self.value = index, value
+
+
 def _check_quotients(index: int, run: Sequence[int]) -> None:
-    # a_0 >= 0 and a_k >= 1 after it; `index` is the index of run[0]
+    # integers, a_0 >= 0 and a_k >= 1 after it; `index` is the index of run[0]
+    try:  # a sum of ints is an int, in one C pass
+        whole = type(sum(run)) is int
+    except TypeError:
+        whole = False
+    if not whole:
+        k, a = next((k, a) for k, a in enumerate(run, index) if not isinstance(a, int))
+        raise _NonIntegerQuotient(k, a)
     if index == 0 and run and run[0] < 0:
         raise DomainError(f"first partial quotient must be >= 0, got {run[0]}")
     if min(itertools.islice(run, 1 if index == 0 else 0, None), default=1) < 1:
@@ -154,20 +175,27 @@ def calkin_wilf() -> Stream:
 
 
 def digits_of(x: Rational) -> Stream:
-    """Decimal digit stream of x >= 0; trailing zeros run forever."""
+    """Decimal digit stream of x >= 0; trailing zeros run forever.
+
+    The walk is long division in blocks of 16, 32, ..., 1024 digits, so
+    `take(k)` costs O(log k) Python steps and divides out at most 2k + 16
+    digits: nothing runs ahead of what is pulled. `entry(k)` is
+    `digit_at`'s modular power, independent of the walk.
+    """
     if x < 0:
         raise DomainError("negative input")
 
-    def gen() -> Iterator[int]:
-        rem = x.numerator % x.denominator
-        den = x.denominator
+    def blocks() -> Iterator[bytes]:
+        # long division n digits at a time, n = 16, 32, ..., 1024: a run of
+        # k digits divides out at most 2k + 16, and `take` moves them in C
+        rem, den, n = x.numerator % x.denominator, x.denominator, 16
         while True:
-            rem *= 10
-            yield rem // den
-            rem %= den
+            block, rem = divmod(rem * 10**n, den)
+            yield str(block).zfill(n).encode().translate(_DIGIT_VALUES)
+            n = min(2 * n, 1024)
 
     return Stream(
-        gen(), "decimal", f"digits of {to_string(x)}",
+        itertools.chain.from_iterable(blocks()), "decimal", f"digits of {to_string(x)}",
         at=partial(digit_at, x), integer_part=x.numerator // x.denominator,
     )
 

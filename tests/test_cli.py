@@ -7,17 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from diagcf.cli import run
+from diagcf.cli import MAX_EXPONENT, run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_process(*argv):
+def run_process(*argv, timeout=60):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "diagcf.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -199,6 +199,26 @@ class TestApprox:
         assert code == 0
         cf_error = out.split("\n")[0].removeprefix("cf error: ")
         assert Fraction(cf_error) == abs(Fraction(literal))
+
+    @pytest.mark.parametrize(
+        "literal, exponent", [("1e100000000", 100000000), (" -2.5E-1_000_001", -1000001)]
+    )
+    def test_huge_exponent_is_refused_before_the_power(self, literal, exponent):
+        # 10**100000000 used to be computed before any check
+        done = run_process("approx", "compare", literal, "1", "1", timeout=10)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (
+            f"error: exponent {exponent} of {literal.strip()!r} "
+            f"exceeds {MAX_EXPONENT} in magnitude\n"
+        )
+
+    def test_exponent_at_the_bound(self, capsys):
+        code, out, err = invoke(capsys, "approx", "compare", f"1e-{MAX_EXPONENT}", "0", "0")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"cf error: 1/1{'0' * MAX_EXPONENT}\n")
+        code, out, err = invoke(capsys, "approx", "compare", f"1e-{MAX_EXPONENT + 1}", "0", "0")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and "exceeds" in err
 
     @pytest.mark.parametrize("literal", ["1/0", "nan", "inf", "abc", "1/", "1.5/2", "1__0", "1e"])
     def test_bad_number_literal_is_a_one_line_error(self, capsys, literal):

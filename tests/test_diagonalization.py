@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diagcf import (
     CFDiagonalFailure,
@@ -118,6 +119,11 @@ class TestCFDiagonal:
         with pytest.raises(DomainError, match="^entry 1 of row 1 must be an integer"):
             cf_diagonal([row], 1)
 
+    def test_non_integer_quotient_before_the_diagonal_entry(self):
+        # row 2 is walked to a_22, past the float at index 1
+        with pytest.raises(DomainError, match=r"^entry 1 of row 2 must be an integer, got 2\.0$"):
+            cf_diagonal([[1, 2], [1, 2.0, 2]], 2)
+
     def test_row_of_another_kind_is_refused(self):
         with pytest.raises(InputError, match="a cf stream cannot be a decimal row"):
             decimal_diagonal([metallic(12)], 1)
@@ -181,6 +187,45 @@ class TestRandomAccessRows:
         assert verify_differs(built, fresh, 20) == (True, None)
 
 
+def long_division_row(x):
+    """Row of x's fractional digits, long-divided one step per digit."""
+
+    def walk():
+        rem, den = x.numerator % x.denominator, x.denominator
+        while True:
+            rem *= 10
+            yield rem // den
+            rem %= den
+
+    return Stream(walk(), "decimal")
+
+
+CALKIN_WILF = calkin_wilf().take(6000)
+
+
+class TestVerifierIndependence:
+    """Block rows and per-digit rows give verify_differs the same verdict."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(0, 5400), st.integers(1, 600), st.data())
+    def test_same_verdict_over_block_and_per_digit_rows(self, start, depth, data):
+        values = CALKIN_WILF[start:start + depth]
+        built = decimal_diagonal([digits_of(v) for v in values], depth)
+
+        def verdicts(digits):
+            return (
+                verify_differs(digits, [digits_of(v) for v in values], depth),
+                verify_differs(digits, [long_division_row(v) for v in values], depth),
+            )
+
+        assert verdicts(built.digits) == ((True, None), (True, None))
+        # plant row k's own digit k in the built prefix
+        k = data.draw(st.integers(1, depth))
+        planted = list(built.digits)
+        planted[k - 1] = digit_at(values[k - 1], k)
+        assert verdicts(planted) == ((False, k), (False, k))
+
+
 class TestVerifyDiffers:
     def test_decimal_diagonal_verifies(self):
         depth = 100
@@ -217,6 +262,12 @@ class TestVerifyDiffers:
         built = [5] * depth if kind == "decimal" else [0] + [good + 1] * depth
         with pytest.raises(DomainError, match=f"^{message}$"):
             verify_differs(built, rows, depth)
+
+    def test_float_quotient_in_a_walked_row(self):
+        # 1.0 passed the walk's >= 1 check, and the verdict was ok=True
+        rows = [Stream(itertools.repeat(2), "cf") for _ in range(3)] + [[1, 2, 2.0, 2, 2]]
+        with pytest.raises(DomainError, match=r"^partial quotient must be an integer, got 2\.0$"):
+            verify_differs([0, 3, 3, 3, 3], rows, 4)
 
     def test_bare_row_gets_the_digit_check(self):
         # digit 12 in a bare list used to pass, and the verdict was ok=True

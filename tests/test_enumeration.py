@@ -1,12 +1,18 @@
 import itertools
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from diagcf import enumeration
 from diagcf import (
     PI_PARTIAL_QUOTIENTS,
     DomainError,
@@ -117,6 +123,105 @@ class TestDigitsOf:
         with pytest.raises(DomainError, match="digit out of range: 12"):
             Stream(iter([]), "decimal", at=lambda k: 12).entry(1)
         assert not hasattr(Stream(itertools.repeat(5), "decimal"), "entry")
+
+
+def long_division(x):
+    """The fractional digits of x, one step per digit: the reference walk."""
+    rem, den = x.numerator % x.denominator, x.denominator
+    while True:
+        rem *= 10
+        yield rem // den
+        rem %= den
+
+
+# digits_of divides out blocks of 16, 32, ..., 1024 digits; a run ending at,
+# before or after one of these totals starts, ends or straddles a block
+BLOCK_EDGES = tuple(itertools.accumulate([16, 32, 64, 128, 256, 512, 1024, 1024]))
+# 2q + 1 with q = 10^30 + 271 prime, and 10 a primitive root: the period of
+# 1/SAFE_PRIME has 2q digits, so a walk that finds the period first never ends
+SAFE_PRIME = 2 * (10**30 + 271) + 1
+
+walk_values = st.one_of(
+    st.integers(0, 10**6).map(Fraction),
+    st.builds(
+        lambda m, a, b: Fraction(m, 2**a * 5**b),
+        st.integers(0, 10**9), st.integers(0, 80), st.integers(0, 80),
+    ),
+    st.sampled_from(calkin_wilf().take(5000)),
+    st.integers(0, 10**4000).map(lambda p: Fraction(p, 10**3999 + 7)),
+)
+# cut points for the runs: block edges, one either side of them, or anywhere
+cut_points = st.lists(
+    st.one_of(
+        st.sampled_from(BLOCK_EDGES).flatmap(lambda e: st.sampled_from([e - 1, e, e + 1])),
+        st.integers(0, 5000),
+    ),
+    max_size=10,
+).map(sorted)
+
+
+class TestBlockWalk:
+    """digits_of long-divides a block at a time; the digits are those of the
+    per-digit walk, however the runs fall against the blocks."""
+
+    def check_runs(self, x, cuts):
+        stream, reference = digits_of(x), long_division(x)
+        for start, stop in zip([0] + cuts, cuts):
+            run = stream.take(stop - start)
+            assert run == list(itertools.islice(reference, stop - start))
+            assert all(type(d) is int for d in run)
+        assert stream.position == (cuts[-1] if cuts else 0)
+
+    @settings(deadline=None)
+    @given(walk_values, cut_points)
+    def test_runs_match_the_per_digit_walk(self, x, cuts):
+        self.check_runs(x, cuts)
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    @pytest.mark.parametrize(
+        "x",
+        [
+            Fraction(7), Fraction(3, 2**7 * 5**40), Fraction(1, 7), Fraction(22, 7),
+            Fraction(123456789, 10**3999 + 7),
+        ],
+        ids=["integer", "terminating", "1/7", "22/7", "4000-digit denominator"],
+    )
+    def test_runs_ending_at_every_block_edge(self, x, shift):
+        self.check_runs(x, [e + shift for e in BLOCK_EDGES])
+
+    def test_division_work_stays_within_twice_the_run(self, monkeypatch):
+        # for 1/3 every remainder is 1, so each block divides 10**n by 3
+        divided = []
+
+        def spy(a, b):
+            divided.append(len(str(a)) - 1)
+            return divmod(a, b)
+
+        monkeypatch.setattr(enumeration, "divmod", spy, raising=False)
+        for k in range(0, 5000, 7):
+            divided.clear()
+            assert digits_of(Fraction(1, 3)).take(k) == [3] * k
+            assert sum(divided) <= 2 * k + 16
+
+    def test_first_digits_of_a_long_period_come_at_once(self):
+        assert pow(10, SAFE_PRIME // 2, SAFE_PRIME) == SAFE_PRIME - 1  # 10 is a non-residue
+        code = (
+            "import time; from fractions import Fraction; from diagcf import digits_of\n"
+            "for den in (10**4000 + 1, %d):\n"
+            "    t = time.perf_counter(); run = digits_of(Fraction(1, den)).take(5)\n"
+            "    print(run, time.perf_counter() - t < 1)\n" % SAFE_PRIME
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+        def cap_memory():  # a walk that runs ahead fails fast instead of filling memory
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, preexec_fn=cap_memory,
+            capture_output=True, text=True, timeout=20,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "[0, 0, 0, 0, 0] True\n[0, 0, 0, 0, 0] True\n"
 
 
 class TestNamedStreams:
@@ -271,6 +376,23 @@ class TestStream:
     def test_unknown_kind(self):
         with pytest.raises(DomainError, match="unknown kind"):
             Stream(iter([]), "binary")
+
+    @pytest.mark.parametrize(
+        "items, bad",
+        [
+            ([1.0], "1.0"), ([2, 3, 2.5], "2.5"),
+            ([1, Fraction(3)], "Fraction(3, 1)"), ([1, "2"], "'2'"),
+        ],
+    )
+    def test_non_integer_quotients_rejected(self, items, bad):
+        # floats used to pass the >= 1 comparisons, and take(1) handed out 1.0
+        message = f"^partial quotient must be an integer, got {re.escape(bad)}$"
+        s = Stream(iter(items), "cf")
+        with pytest.raises(DomainError, match=message):
+            s.take(len(items))
+        assert s.position == 0
+        with pytest.raises(DomainError, match=message):
+            Stream(iter([]), "cf", at=lambda k: items[-1]).entry(1)
 
     @pytest.mark.parametrize(
         "items, bad", [([3, 2.5], "2.5"), ([3.0], "3.0"), ([1, "2"], "'2'")]
