@@ -156,7 +156,7 @@ def digit_at(x: Rational, j: int) -> int:
     floor(x * 10^j) mod 10 only needs 10^j modulo 10*den, so this is
     O(log j) however deep j goes.
     """
-    if x < 0:
+    if x.numerator < 0:
         raise DomainError("negative input")
     if j < 1:
         raise DomainError("digit position must be >= 1")

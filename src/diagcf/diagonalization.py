@@ -18,7 +18,7 @@ import itertools
 from typing import Iterable, NamedTuple, Sequence
 
 from .continued_fraction import ContinuedFraction, from_rational
-from .enumeration import FIRST_INDEX, Stream, _NonIntegerQuotient, digits_of
+from .enumeration import KINDS, Stream, _NonIntegerQuotient, digits_of
 from .errors import DomainError, InputError, RangeError
 from .exact_numbers import Rational, _digits_of_int
 
@@ -178,10 +178,6 @@ def _diagonal(rows: Sequence, depth: int, kind: str, rule):
             raise DomainError(
                 f"entry {exc.index} of row {k} must be an integer, got {exc.value!r}"
             ) from None
-        # bytes() takes int-likes such as numpy.int64, so a digit run's check
-        # lets them through; what is built on must be an int
-        if not isinstance(x_kk, int):
-            raise DomainError(f"entry {k} of row {k} must be an integer, got {x_kk!r}")
         built.append(rule(x_kk))
         witnesses.append(DiagonalWitness(k, x_kk, built[-1]))
     return tuple(built), tuple(witnesses)
@@ -236,7 +232,7 @@ def verify_differs(constructed, rows: Sequence, depth: int, kind: str | None = N
         built_at = constructed.entry
     else:
         seq = list(constructed)
-        first = FIRST_INDEX[kind]
+        first, _ = KINDS[kind]
         def built_at(position: int) -> int:
             return seq[position - first]
     for k in range(1, depth + 1):

@@ -41,13 +41,21 @@ PI_PARTIAL_QUOTIENTS: tuple[int, ...] = (
 )
 
 
+# the bytes 0..9: deleting them from a run of digits leaves nothing
+_DIGITS = bytes(range(10))
 # ASCII digits to their values, so iterating a block yields ints 0..9
-_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", _DIGITS)
+# 10**n for the block sizes n of a digit walk
+_SCALES = {n: 10**n for n in (16, 32, 64, 128, 256, 512, 1024)}
 
 
 def _check_digits(index: int, run: Sequence[int]) -> None:
-    try:  # bytes() takes only integers in 0..255, in one C pass
-        if max(bytes(run), default=0) <= 9:
+    # bytes() takes only integers in 0..255, and deleting 0..9 from them
+    # leaves nothing for a run of digits; bytes() also takes int-likes such
+    # as numpy.int64, which make the sum of the run a non-int. Each is one
+    # C pass that makes no int per digit.
+    try:
+        if not bytes(run).translate(None, _DIGITS) and type(sum(run)) is int:
             return
     except (TypeError, ValueError):
         pass
@@ -74,6 +82,8 @@ def _check_quotients(index: int, run: Sequence[int]) -> None:
     if not whole:
         k, a = next((k, a) for k, a in enumerate(run, index) if not isinstance(a, int))
         raise _NonIntegerQuotient(k, a)
+    if min(run, default=1) >= 1:  # every quotient >= 1: nothing left to find
+        return
     if index == 0 and run and run[0] < 0:
         raise DomainError(f"first partial quotient must be >= 0, got {run[0]}")
     if min(itertools.islice(run, 1 if index == 0 else 0, None), default=1) < 1:
@@ -82,11 +92,10 @@ def _check_quotients(index: int, run: Sequence[int]) -> None:
 
 
 # per kind: the index of the first item, and the check every run passes
-FIRST_INDEX = {"rational": 1, "decimal": 1, "cf": 0}
-_CHECKS = {
-    "rational": lambda index, run: None,
-    "decimal": _check_digits,
-    "cf": _check_quotients,
+KINDS = {
+    "rational": (1, lambda index, run: None),
+    "decimal": (1, _check_digits),
+    "cf": (0, _check_quotients),
 }
 
 
@@ -97,12 +106,16 @@ class Stream:
     (fractional digits d_1, d_2, ... in 0..9 after `integer_part`) or
     "cf" (partial quotients a_0 >= 0, a_1, ... >= 1). `take(n)` pulls a
     run of up to n items and checks it once; a run that fails is not
-    handed out and leaves the position where it was.
+    handed out and leaves the position where it was. `next()` does the
+    same for one item.
 
     Given `at`, the stream also answers `entry(k)`: item k from `at(k)`,
     under the same check, with the position left alone. Without `at` it
     has no `entry` attribute.
     """
+
+    __slots__ = ("_items", "kind", "first_index", "_check", "description", "_at",
+                 "integer_part", "position")
 
     def __init__(
         self,
@@ -112,12 +125,12 @@ class Stream:
         at: Callable[[int], int] | None = None,
         integer_part: int = 0,
     ):
-        if kind not in _CHECKS:
-            raise DomainError(f"unknown kind: {kind!r}")
+        try:
+            self.first_index, self._check = KINDS[kind]
+        except KeyError:
+            raise DomainError(f"unknown kind: {kind!r}") from None
         self._items = iter(items)
         self.kind = kind
-        self.first_index = FIRST_INDEX[kind]
-        self._check = _CHECKS[kind]
         self.description = description
         self._at = at
         self.integer_part = integer_part
@@ -140,10 +153,10 @@ class Stream:
         return self
 
     def __next__(self):
-        run = self.take(1)
-        if not run:
-            raise StopIteration
-        return run[0]
+        item = next(self._items)
+        self._check(self.first_index + self.position, (item,))
+        self.position += 1
+        return item
 
     def take(self, n: int) -> list:
         """The next n items (none for n <= 0); fewer only where the stream ends."""
@@ -182,16 +195,19 @@ def digits_of(x: Rational) -> Stream:
     digits: nothing runs ahead of what is pulled. `entry(k)` is
     `digit_at`'s modular power, independent of the walk.
     """
-    if x < 0:
+    if x.numerator < 0:
         raise DomainError("negative input")
 
     def blocks() -> Iterator[bytes]:
         # long division n digits at a time, n = 16, 32, ..., 1024: a run of
-        # k digits divides out at most 2k + 16, and `take` moves them in C
+        # k digits divides out at most 2k + 16, and `take` moves them in C;
+        # the block's quotient is dropped before the yield, so the frame
+        # holds no big int between pulls
         rem, den, n = x.numerator % x.denominator, x.denominator, 16
         while True:
-            block, rem = divmod(rem * 10**n, den)
-            yield str(block).zfill(n).encode().translate(_DIGIT_VALUES)
+            block, rem = divmod(rem * _SCALES[n], den)
+            block = str(block).zfill(n).encode().translate(_DIGIT_VALUES)
+            yield block
             n = min(2 * n, 1024)
 
     return Stream(

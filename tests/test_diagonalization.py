@@ -81,6 +81,17 @@ class TestDecimalDiagonal:
         with pytest.raises(DomainError, match=r"^digit must be an integer, got 3\.0$"):
             decimal_diagonal([[3.0]], 1)
 
+    def test_numpy_digits_refused_by_the_digit_check(self):
+        # numpy ints pass bytes(); the digit check itself names them now
+        numpy = pytest.importorskip("numpy")
+        message = r"^digit must be an integer, got np\.int64\(3\)$"
+        with pytest.raises(DomainError, match=message):
+            decimal_diagonal([[numpy.int64(3)]], 1)
+        with pytest.raises(DomainError, match=message):
+            decimal_diagonal([Stream(iter([]), "decimal", at=lambda k: numpy.int64(3))], 1)
+        with pytest.raises(DomainError, match=message):
+            verify_differs([5], [Stream([numpy.int64(3)], "decimal")], 1)
+
     def test_depth_validation(self):
         with pytest.raises(DomainError):
             decimal_diagonal([], 0)

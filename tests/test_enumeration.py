@@ -406,3 +406,127 @@ class TestStream:
         assert s.position == 0
         with pytest.raises(DomainError, match=message):
             Stream(iter([]), "decimal", at=lambda k: items[-1]).entry(1)
+
+    def test_next_on_a_bad_item(self):
+        # next() checks the item it pulls; a refused item does not advance
+        s = Stream(iter([3, 12, 4]), "decimal")
+        assert next(s) == 3
+        with pytest.raises(DomainError, match="^digit out of range: 12$"):
+            next(s)
+        assert s.position == 1
+        s = Stream(iter([0, 1, 0]), "cf")
+        assert [next(s), next(s)] == [0, 1]
+        with pytest.raises(DomainError, match="^partial quotient at index 2 must be >= 1, got 0$"):
+            next(s)
+        assert s.position == 2
+        with pytest.raises(DomainError, match=r"^partial quotient must be an integer, got 1\.5$"):
+            next(Stream(iter([1.5]), "cf"))
+
+    def test_descriptions_and_reprs(self):
+        sevenths, third = digits_of(Fraction(1, 7)), metallic(3)
+        assert sevenths.description == "digits of 1/7"
+        assert repr(sevenths) == "Stream('decimal', 'digits of 1/7', position=0)"
+        assert third.description == "metallic:3"
+        assert repr(third) == "Stream('cf', 'metallic:3', position=0)"
+        sevenths.take(3)
+        assert repr(sevenths) == "Stream('decimal', 'digits of 1/7', position=3)"
+        assert not hasattr(sevenths, "__dict__")  # slotted
+
+    def test_numpy_digits_refused(self):
+        # bytes() takes numpy ints as they are int-likes; the sum test refuses them
+        numpy = pytest.importorskip("numpy")
+        message = r"^digit must be an integer, got np\.int64\(3\)$"
+        s = Stream([numpy.int64(3)], "decimal")
+        with pytest.raises(DomainError, match=message):
+            s.take(1)
+        assert s.position == 0
+        s = Stream([1, numpy.int64(3)], "decimal")
+        assert next(s) == 1
+        with pytest.raises(DomainError, match=message):
+            next(s)
+        with pytest.raises(DomainError, match=message):
+            Stream(iter([]), "decimal", at=lambda k: numpy.int64(3)).entry(1)
+
+
+try:
+    import numpy
+except ImportError:  # the runs below then mix no numpy ints
+    numpy = None
+
+
+def reference_digit_error(run):
+    # the digit rule item by item: the first item that is not an int in 0..9
+    for d in run:
+        if not isinstance(d, int):
+            return f"digit must be an integer, got {d!r}"
+        if not 0 <= d <= 9:
+            return f"digit out of range: {d}"
+    return None
+
+
+def reference_quotient_error(index, run):
+    # the quotient rule item by item: every item an int, then a_0 >= 0 and
+    # a_k >= 1 after it, where run[0] is a_index
+    for a in run:
+        if not isinstance(a, int):
+            return f"partial quotient must be an integer, got {a!r}"
+    for k, a in enumerate(run, index):
+        if k == 0 and a < 0:
+            return f"first partial quotient must be >= 0, got {a}"
+        if k > 0 and a < 1:
+            return f"partial quotient at index {k} must be >= 1, got {a}"
+    return None
+
+
+def check_error(check, index, run):
+    try:
+        check(index, run)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+# items the checks must tell apart: ints in and out of range, bools, floats,
+# Fractions, strings and numpy ints
+odd_items = st.one_of(
+    st.integers(-3, 300), st.booleans(), st.floats(allow_nan=True),
+    st.fractions(max_denominator=5), st.text(max_size=2),
+    *([st.integers(-3, 300).map(numpy.int64)] if numpy is not None else []),
+)
+# mostly good runs, so that a refusal rests on one item among many
+mixed_runs = st.one_of(
+    st.lists(st.integers(0, 9), max_size=40),
+    st.lists(st.integers(0, 9) | odd_items, max_size=40),
+    st.tuples(st.lists(st.integers(0, 9), max_size=40), odd_items, st.integers(0, 40)).map(
+        lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:]
+    ),
+)
+quotient_runs = st.one_of(
+    st.lists(st.integers(0, 300), max_size=40),
+    mixed_runs,
+)
+
+
+# The one-pass run checks accept and refuse what the item-by-item rules do,
+# with the same message, at index 0 and past it.
+@settings(max_examples=500)
+@given(st.sampled_from([0, 1, 2, 77]), mixed_runs)
+def test_digit_check_matches_the_item_rule(index, run):
+    assert check_error(enumeration._check_digits, index, run) == reference_digit_error(run)
+
+
+@settings(max_examples=500)
+@given(st.sampled_from([0, 1, 2, 77]), quotient_runs)
+def test_quotient_check_matches_the_item_rule(index, run):
+    assert (
+        check_error(enumeration._check_quotients, index, run)
+        == reference_quotient_error(index, run)
+    )
+
+
+def test_digit_property_fails_on_a_short_delete_table(monkeypatch):
+    # with 9 left out of the table a run holding a 9 fails the fast pass,
+    # and the item scan then finds nothing to report
+    monkeypatch.setattr(enumeration, "_DIGITS", bytes(range(9)))
+    with pytest.raises(StopIteration):
+        test_digit_check_matches_the_item_rule()
