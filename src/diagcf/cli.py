@@ -22,7 +22,9 @@ from .continued_fraction import (
     to_plain_string,
     to_rational,
 )
-from .decimal_expansion import expand, find_period_at_least, period_length
+from .decimal_expansion import (
+    expand, find_period_at_least, period_length, period_length_by_order,
+)
 from .diagonalization import (
     cf_diagonal,
     cf_diagonal_over_rationals,
@@ -30,12 +32,7 @@ from .diagonalization import (
     format_witnesses,
     rational_diagonal_analysis,
 )
-from .enumeration import (
-    calkin_wilf,
-    digits_of,
-    irrational_enumeration,
-    named_cf_stream,
-)
+from .enumeration import calkin_wilf, digits_of, metallic, named_cf_stream
 from .errors import DomainError, InputError, RangeError
 from .exact_numbers import _int_from_digits, parse_rational, to_string
 
@@ -66,9 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = cf_cmds.add_parser("from-rational", help="continued fraction of P/Q")
     p.add_argument("value", help="rational like 6/7")
     _add_format(p, ("bracket", "plain"))
+    p.set_defaults(run=_cf_from_rational)
 
     p = cf_cmds.add_parser("to-rational", help="exact value of a continued fraction")
     p.add_argument("value", help='continued fraction like "[0; 1, 6]" or "0 1 6"')
+    p.set_defaults(run=_cf_to_rational)
 
     p = cf_cmds.add_parser("from-real", help="continued fraction of a machine real")
     p.add_argument("value", type=float, help="positive real, e.g. 1.41421356")
@@ -76,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--eps", type=float, default=DEFAULT_EPS, help="accuracy of the result (default 1e-9)"
     )
     _add_format(p, ("bracket", "plain"))
+    p.set_defaults(run=_cf_from_real)
 
     p = cf_cmds.add_parser(
         "convergents", help="truncation values of a CF, rational or named stream"
@@ -88,20 +88,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--count", type=int,
         help=f"how many convergents (default: all terms, or {DEFAULT_DEPTH} for streams)",
     )
+    p.set_defaults(run=_cf_convergents)
 
     dec = groups.add_parser("decimal", help="repeating decimal operations")
     dec_cmds = dec.add_subparsers(dest="command", required=True)
 
     p = dec_cmds.add_parser("expand", help="decimal expansion of P/Q as w.uu(vv)")
     p.add_argument("value", help="nonnegative rational like 169/550")
+    p.set_defaults(run=_decimal_expand)
 
     p = dec_cmds.add_parser("period", help="period and preperiod lengths of P/Q")
     p.add_argument("value", help="nonnegative rational like 1/6")
+    p.set_defaults(run=_decimal_period)
 
     p = dec_cmds.add_parser(
         "find-period", help="a rational whose period length is at least L"
     )
     p.add_argument("min_length", type=int, metavar="L")
+    p.set_defaults(run=_decimal_find_period)
 
     diag = groups.add_parser("diag", help="diagonal constructions")
     diag_cmds = diag.add_subparsers(dest="command", required=True)
@@ -111,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_depth(p)
     _add_format(p, ("table", "tsv"))
+    p.set_defaults(run=_diag_decimal)
 
     p = diag_cmds.add_parser("cf", help="continued-fraction diagonal")
     p.add_argument(
@@ -122,6 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_depth(p)
     _add_format(p, ("table", "tsv"))
+    p.set_defaults(run=_diag_cf)
 
     p = diag_cmds.add_parser(
         "analyze",
@@ -130,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_depth(p)
     p.add_argument("--max-preperiod", type=int, default=3)
     p.add_argument("--max-period", type=int, default=5)
+    p.set_defaults(run=_diag_analyze)
 
     approx = groups.add_parser("approx", help="approximation comparison")
     approx_cmds = approx.add_subparsers(dest="command", required=True)
@@ -140,6 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help="exact number: P/Q or decimal literal")
     p.add_argument("cf_approx", help="continued-fraction approximation value")
     p.add_argument("decimal_approx", help="decimal approximation value")
+    p.set_defaults(run=_approx_compare)
 
     return parser
 
@@ -180,28 +188,28 @@ def _render_cf(cf, fmt: str) -> str:
     return to_plain_string(cf) if fmt == "plain" else str(cf)
 
 
-def _cmd_cf(args) -> list[str]:
-    if args.command == "from-rational":
-        cf = from_rational(parse_rational(args.value))
-        return [_render_cf(cf, args.format)]
-    if args.command == "to-rational":
-        return [to_string(to_rational(parse_cf(args.value)))]
-    if args.command == "from-real":
-        cf = from_real_approx(args.value, args.eps)
-        return [_render_cf(cf, args.format)]
-    if args.command == "convergents":
-        source, finite_length = _resolve_cf_source(args.source)
-        count = args.count
-        if count is None:
-            count = finite_length if finite_length is not None else DEFAULT_DEPTH
-        return [to_string(c.value) for c in convergents(source, count)]
-    raise AssertionError(args.command)
+def _cf_from_rational(args) -> list[str]:
+    return [_render_cf(from_rational(parse_rational(args.value)), args.format)]
+
+
+def _cf_to_rational(args) -> list[str]:
+    return [to_string(to_rational(parse_cf(args.value)))]
+
+
+def _cf_from_real(args) -> list[str]:
+    return [_render_cf(from_real_approx(args.value, args.eps), args.format)]
+
+
+def _cf_convergents(args) -> list[str]:
+    source, default_count = _resolve_cf_source(args.source)
+    count = args.count if args.count is not None else default_count
+    return [to_string(c.value) for c in convergents(source, count)]
 
 
 def _resolve_cf_source(text: str):
     s = text.strip()
     try:
-        return named_cf_stream(s), None
+        return named_cf_stream(s), DEFAULT_DEPTH
     except DomainError:
         if s.lower().startswith("metallic:"):  # no literal form to fall back on
             raise
@@ -210,22 +218,22 @@ def _resolve_cf_source(text: str):
     return cf, len(cf)
 
 
-def _cmd_decimal(args) -> list[str]:
-    if args.command == "expand":
-        return [str(expand(parse_rational(args.value)))]
-    if args.command == "period":
-        report = period_length(parse_rational(args.value))
-        if report.terminating:
-            return [f"terminating (preperiod {report.preperiod_length}, period 0)"]
-        return [
-            f"period length {report.period_length} "
-            f"(preperiod {report.preperiod_length})"
-        ]
-    if args.command == "find-period":
-        value = find_period_at_least(args.min_length)
-        report = period_length(value)
-        return [f"{to_string(value)} (period length {report.period_length})"]
-    raise AssertionError(args.command)
+def _decimal_expand(args) -> list[str]:
+    return [str(expand(parse_rational(args.value)))]
+
+
+def _decimal_period(args) -> list[str]:
+    report = period_length(parse_rational(args.value))
+    if report.terminating:
+        return [f"terminating (preperiod {report.preperiod_length}, period 0)"]
+    return [f"period length {report.period_length} (preperiod {report.preperiod_length})"]
+
+
+def _decimal_find_period(args) -> list[str]:
+    # the winner is long-divided once, inside find_period_at_least
+    value = find_period_at_least(args.min_length)
+    length = period_length_by_order(value).period_length
+    return [f"{to_string(value)} (period length {length})"]
 
 
 def _render_diagonal(result, fmt: str) -> list[str]:
@@ -233,38 +241,39 @@ def _render_diagonal(result, fmt: str) -> list[str]:
     return [f"constructed: {result}", *table.split("\n")]
 
 
-def _cmd_diag(args) -> list[str]:
-    if args.command == "decimal":
-        rows = [digits_of(v) for v in calkin_wilf().take(args.depth)]
-        return _render_diagonal(decimal_diagonal(rows, args.depth), args.format)
-    if args.command == "cf":
-        if args.source == "rationals":
-            return [cf_diagonal_over_rationals(calkin_wilf()).message()]
-        # cf_diagonal rejects depth < 1; irrational_enumeration would say "count"
-        rows = irrational_enumeration(max(args.depth, 1))
-        return _render_diagonal(cf_diagonal(rows, args.depth), args.format)
-    if args.command == "analyze":
-        report = rational_diagonal_analysis(
-            calkin_wilf(), args.depth, args.max_preperiod, args.max_period
-        )
-        lines = [f"constructed: {report.diagonal}"]
-        for r in report.rulings:
-            if r.consistent:
-                lines.append(f"p={r.preperiod} l={r.period}: consistent")
-            else:
-                lines.append(
-                    f"p={r.preperiod} l={r.period}: ruled out (positions "
-                    f"{r.witness_position} and {r.witness_position + r.period} differ)"
-                )
-        lines.append(
-            f"ruled out {len(report.ruled_out)} of {len(report.rulings)} "
-            "(preperiod, period) pairs"
-        )
-        return lines
-    raise AssertionError(args.command)
+def _diag_decimal(args) -> list[str]:
+    rows = [digits_of(v) for v in calkin_wilf().take(args.depth)]
+    return _render_diagonal(decimal_diagonal(rows, args.depth), args.format)
 
 
-def _cmd_approx(args) -> list[str]:
+def _diag_cf(args) -> list[str]:
+    if args.source == "rationals":
+        return [cf_diagonal_over_rationals(calkin_wilf()).message()]
+    rows = [metallic(k) for k in range(1, args.depth + 1)]
+    return _render_diagonal(cf_diagonal(rows, args.depth), args.format)
+
+
+def _diag_analyze(args) -> list[str]:
+    report = rational_diagonal_analysis(
+        calkin_wilf(), args.depth, args.max_preperiod, args.max_period
+    )
+    lines = [f"constructed: {report.diagonal}"]
+    for r in report.rulings:
+        if r.consistent:
+            lines.append(f"p={r.preperiod} l={r.period}: consistent")
+        else:
+            lines.append(
+                f"p={r.preperiod} l={r.period}: ruled out (positions "
+                f"{r.witness_position} and {r.witness_position + r.period} differ)"
+            )
+    lines.append(
+        f"ruled out {len(report.ruled_out)} of {len(report.rulings)} "
+        "(preperiod, period) pairs"
+    )
+    return lines
+
+
+def _approx_compare(args) -> list[str]:
     result = approximation_compare(
         _parse_number(args.target),
         _parse_number(args.cf_approx),
@@ -277,14 +286,6 @@ def _cmd_approx(args) -> list[str]:
     ]
 
 
-_HANDLERS = {
-    "cf": _cmd_cf,
-    "decimal": _cmd_decimal,
-    "diag": _cmd_diag,
-    "approx": _cmd_approx,
-}
-
-
 def run(argv: Sequence[str] | None = None, stdout=None, stderr=None) -> int:
     """Run one command; returns the process exit code instead of exiting."""
     out = stdout if stdout is not None else sys.stdout
@@ -295,7 +296,7 @@ def run(argv: Sequence[str] | None = None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:  # argparse handles --help (0) and usage errors (2)
         return int(exc.code or 0)
     try:
-        lines = _HANDLERS[args.group](args)
+        lines = args.run(args)
     except (DomainError, RangeError, InputError) as exc:
         print(f"error: {exc}", file=err)
         return 1

@@ -189,7 +189,8 @@ def find_period_at_least(min_length: int) -> Rational:
     while True:
         if math.gcd(d, 10) == 1 and multiplicative_order(10, d) >= min_length:
             result = Fraction(1, d)
-            assert len(expand(result).period) >= min_length
+            if len(expand(result).period) < min_length:  # an explicit check survives -O
+                raise AssertionError(f"long division of 1/{d} disagrees with the order of 10")
             return result
         d += 1
 

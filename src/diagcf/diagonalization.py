@@ -18,7 +18,7 @@ import itertools
 from typing import Iterable, NamedTuple, Sequence
 
 from .continued_fraction import ContinuedFraction, from_rational
-from .enumeration import KINDS, Stream, _NonIntegerQuotient, digits_of
+from .enumeration import KINDS, Stream, digits_of
 from .errors import DomainError, InputError, RangeError
 from .exact_numbers import Rational, _digits_of_int
 
@@ -172,12 +172,7 @@ def _diagonal(rows: Sequence, depth: int, kind: str, rule):
     for k in range(1, depth + 1):
         row = _fresh_row(rows[k - 1], kind)
         entry = getattr(row, "entry", None)
-        try:
-            x_kk = entry(k) if entry is not None else _nth_entry(row, k)
-        except _NonIntegerQuotient as exc:  # named with the row that holds it
-            raise DomainError(
-                f"entry {exc.index} of row {k} must be an integer, got {exc.value!r}"
-            ) from None
+        x_kk = entry(k) if entry is not None else _nth_entry(row, k)
         built.append(rule(x_kk))
         witnesses.append(DiagonalWitness(k, x_kk, built[-1]))
     return tuple(built), tuple(witnesses)

@@ -65,23 +65,15 @@ def _check_digits(index: int, run: Sequence[int]) -> None:
     raise DomainError(f"digit out of range: {bad}")
 
 
-class _NonIntegerQuotient(DomainError):
-    """A partial quotient that is not an int, found at `index`."""
-
-    def __init__(self, index: int, value):
-        super().__init__(f"partial quotient must be an integer, got {value!r}")
-        self.index, self.value = index, value
-
-
 def _check_quotients(index: int, run: Sequence[int]) -> None:
     # integers, a_0 >= 0 and a_k >= 1 after it; `index` is the index of run[0]
-    try:  # a sum of ints is an int, in one C pass
+    try:  # a sum of ints is an int, in one C pass; numpy ints may overflow it
         whole = type(sum(run)) is int
-    except TypeError:
+    except (TypeError, OverflowError, RuntimeWarning):
         whole = False
     if not whole:
-        k, a = next((k, a) for k, a in enumerate(run, index) if not isinstance(a, int))
-        raise _NonIntegerQuotient(k, a)
+        a = next(a for a in run if not isinstance(a, int))
+        raise DomainError(f"partial quotient must be an integer, got {a!r}")
     if min(run, default=1) >= 1:  # every quotient >= 1: nothing left to find
         return
     if index == 0 and run and run[0] < 0:

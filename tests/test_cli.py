@@ -103,6 +103,23 @@ class TestDecimal:
         assert code == 0
         assert out == "1/7 (period length 6)\n"
 
+    def test_find_period_long_divides_once(self, capsys, monkeypatch):
+        # find_period_at_least re-checks its winner by long division; the
+        # printed length comes from the order, not from a second division
+        import diagcf.decimal_expansion as decimal_expansion
+
+        divided = []
+        expand = decimal_expansion.expand
+
+        def spy(x):
+            divided.append(x)
+            return expand(x)
+
+        monkeypatch.setattr(decimal_expansion, "expand", spy)
+        code, out, _ = invoke(capsys, "decimal", "find-period", "50")
+        assert (code, out) == (0, "1/59 (period length 58)\n")
+        assert divided == [Fraction(1, 59)]
+
 
 class TestDiag:
     def test_decimal_diagonal(self, capsys):

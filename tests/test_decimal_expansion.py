@@ -1,6 +1,9 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +23,7 @@ from diagcf import (
     reconstruct,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 def order_brute(base, modulus):
     """Independent oracle: step the power until it returns to 1."""
@@ -273,6 +277,29 @@ class TestFindPeriodAtLeast:
         for bound in range(1, 31):
             x = find_period_at_least(bound)
             assert len(expand(x).period) >= bound
+
+    def test_recheck_refuses_a_wrong_order(self, monkeypatch):
+        # the order says every d qualifies; long division of 1/9 says period 1
+        monkeypatch.setattr(diagcf.decimal_expansion, "multiplicative_order", lambda b, m: 10**9)
+        with pytest.raises(AssertionError, match="^long division of 1/9 disagrees"):
+            find_period_at_least(7)
+
+    def test_recheck_survives_optimized_mode(self):
+        probe = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import diagcf.decimal_expansion as m\n"
+            "assert False, 'assert statements run'\n"
+            "m.multiplicative_order = lambda b, n: 10**9\n"
+            "try:\n"
+            "    print(m.find_period_at_least(7))\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", probe, str(SRC)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "long division of 1/9 disagrees with the order of 10\n"
 
     def test_errors(self):
         with pytest.raises(DomainError):

@@ -124,15 +124,15 @@ class TestCFDiagonal:
 
     def test_non_integer_diagonal_quotient(self):
         # 2.0 passes the walk's >= 1 check; the built quotient would be 3.0
-        with pytest.raises(DomainError, match=r"^entry 1 of row 1 must be an integer, got 2\.0$"):
+        with pytest.raises(DomainError, match=r"^partial quotient must be an integer, got 2\.0$"):
             cf_diagonal([[1, 2.0]], 1)
         row = Stream(iter([]), "cf", at=lambda k: Fraction(3))
-        with pytest.raises(DomainError, match="^entry 1 of row 1 must be an integer"):
+        with pytest.raises(DomainError, match="^partial quotient must be an integer, got Fraction"):
             cf_diagonal([row], 1)
 
     def test_non_integer_quotient_before_the_diagonal_entry(self):
         # row 2 is walked to a_22, past the float at index 1
-        with pytest.raises(DomainError, match=r"^entry 1 of row 2 must be an integer, got 2\.0$"):
+        with pytest.raises(DomainError, match=r"^partial quotient must be an integer, got 2\.0$"):
             cf_diagonal([[1, 2], [1, 2.0, 2]], 2)
 
     def test_row_of_another_kind_is_refused(self):

@@ -5,6 +5,7 @@ import re
 import resource
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -446,6 +447,25 @@ class TestStream:
             next(s)
         with pytest.raises(DomainError, match=message):
             Stream(iter([]), "decimal", at=lambda k: numpy.int64(3)).entry(1)
+
+    def test_numpy_quotients_that_overflow_the_sum_refused(self):
+        # the sum of two int64 2**62 overflows; under -W error numpy raises
+        # its RuntimeWarning, which must not escape in place of the DomainError
+        numpy = pytest.importorskip("numpy")
+        message = r"^partial quotient must be an integer, got np\.int64\(4611686018427387904\)$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = Stream([numpy.int64(2**62)] * 2, "cf")
+            with pytest.raises(DomainError, match=message):
+                s.take(2)
+            assert s.position == 0
+        with pytest.warns(RuntimeWarning, match="overflow"):  # the default filters
+            with pytest.raises(DomainError, match=message):
+                Stream([numpy.int64(2**62)] * 2, "cf").take(2)
+        # a Python int too large for the numpy type raises OverflowError in the sum
+        for run in ([numpy.int64(1), 2**70], [2**70, numpy.int64(1)], [numpy.uint64(1), -1]):
+            with pytest.raises(DomainError, match=r"^partial quotient must be an integer, got np\."):
+                Stream(run, "cf").take(2)
 
 
 try:

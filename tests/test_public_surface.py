@@ -1,4 +1,9 @@
+import ast
+from pathlib import Path
+
 import diagcf
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "diagcf"
 
 PUBLIC_NAMES = {
     "ApproximationComparison", "CFDiagonalFailure", "CFDiagonalResult",
@@ -24,3 +29,15 @@ def test_all_is_the_pinned_surface_and_resolves():
     assert set(diagcf.__all__) == PUBLIC_NAMES
     for name in diagcf.__all__:
         getattr(diagcf, name)
+
+
+def test_package_holds_no_assert_statement():
+    # python -O strips assert statements; a runtime check must be an explicit raise
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(SRC.glob("*.py"))) >= 8
+    assert found == []
