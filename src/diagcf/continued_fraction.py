@@ -3,8 +3,9 @@
 Conversion runs in both directions: `from_rational` is the Euclidean
 quotient sequence, `to_rational` folds the terms back to front in exact
 arithmetic. `from_real_approx` extracts a continued fraction from a
-machine real by repeated floor-and-reciprocal, stopping once the exact
-value of the accumulated fraction is within a caller-supplied eps.
+machine real: the exact rational value of the machine number has
+Euclid's quotients, read off its integer ratio, and they stop once the
+convergent is within a caller-supplied eps, tested in integers.
 
 A rational has two finite representations, [..., a_n] and
 [..., a_n - 1, 1]; the canonical form bans the trailing 1 so equality is
@@ -81,6 +82,14 @@ class Convergent(NamedTuple):
 CFLike = Union[ContinuedFraction, Iterable[int]]
 
 
+def _euclid(num: int, den: int) -> Iterator[int]:
+    # the quotients of Euclid's gcd algorithm on num/den, den >= 1
+    while den:
+        a, rem = divmod(num, den)
+        yield a
+        num, den = den, rem
+
+
 def from_rational(x: Rational) -> ContinuedFraction:
     """Euclidean quotient expansion of x >= 0; the result is canonical.
 
@@ -88,17 +97,9 @@ def from_rational(x: Rational) -> ContinuedFraction:
     quotients, so it terminates for every rational and never emits a
     trailing 1 when the expansion has more than one term.
     """
-    if x < 0:
+    if x.numerator < 0:
         raise DomainError("negative input")
-    num, den = x.numerator, x.denominator
-    terms = []
-    while True:
-        a, rem = divmod(num, den)
-        terms.append(a)
-        if rem == 0:
-            break
-        num, den = den, rem
-    return ContinuedFraction(terms)
+    return ContinuedFraction(_euclid(x.numerator, x.denominator))
 
 
 def to_rational(cf: CFLike) -> Rational:
@@ -152,34 +153,26 @@ def _exact(value, name: str) -> Fraction:
         raise DomainError(f"{name} must be a finite number, got {value!r}") from None
 
 
-def _floor_quotients(t: Fraction) -> Iterator[int]:
-    # at an exact hit the convergent equals t: the caller stops before 1/0
-    while True:
-        a = t.numerator // t.denominator
-        yield a
-        t = 1 / (t - a)
-
-
 def from_real_approx(x, eps) -> ContinuedFraction:
-    """Floor-and-reciprocal extraction of a CF from a real-valued input.
+    """First convergent of a real-valued input within eps of it.
 
-    The input is converted once to the exact rational value of the
-    machine number; the loop then runs entirely in exact arithmetic,
-    appending one partial quotient at a time and re-evaluating the
-    accumulated fraction until it is within eps of that exact value.
-    The result is canonicalized (the value is unchanged by that). A
+    The input is converted once to the exact rational value tn/td of
+    the machine number, and eps to en/ed; the loop then runs entirely
+    in integers, taking Euclid's quotients of tn/td and stopping at the
+    first convergent h/k with |tn*k - h*td| * ed <= en * td * k. The
+    result is canonicalized (the value is unchanged by that). A
     non-finite x or eps (nan, inf) is a DomainError.
     """
-    tolerance = _exact(eps, "eps")
-    if tolerance <= 0:
+    en, ed = _exact(eps, "eps").as_integer_ratio()
+    if en <= 0:
         raise DomainError("eps must be positive")
-    target = _exact(x, "input")
-    if target <= 0:
+    tn, td = _exact(x, "input").as_integer_ratio()
+    if tn <= 0:
         raise DomainError("positive input required")
     terms: list[int] = []
-    for a, h, k in _convergents(_floor_quotients(target)):
+    for a, h, k in _convergents(_euclid(tn, td)):
         terms.append(a)
-        if abs(target - Fraction(h, k)) <= tolerance:
+        if abs(tn * k - h * td) * ed <= en * td * k:
             break
     return canonicalize(terms)
 

@@ -1,10 +1,15 @@
 """Eventually periodic decimal expansions of nonnegative rationals.
 
-`expand` finds the minimal preperiod and period by long division with
-remainder-cycle detection. `period_length_by_order` reaches the same
-numbers by a different route, the multiplicative order of 10 modulo the
-denominator stripped of its factors of 2 and 5, which the test suite
-uses as an independent cross-check.
+The period of x = p/q is the multiplicative order of 10 modulo q
+stripped of its factors of 2 and 5, and the preperiod is the larger of
+the two exponents stripped. `period_length_by_order` computes both by
+number theory, with Miller-Rabin and Pollard-Brent rho to factor q
+and Euler's phi(q). `expand` takes the two lengths from it
+and divides out exactly that many digits in blocks, with no search.
+`period_length` reaches the same numbers by a different route, long
+division with remainder-cycle detection that never consults the order,
+which the test suite uses as an independent cross-check; `expand`
+itself is checked against `reconstruct`.
 
 Terminating decimals are represented with the trailing-zero convention:
 period "0", never a 9-tail. Nine-repeating periods are rejected on
@@ -13,14 +18,15 @@ input as well, since the same value always has a plain representation.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError
-from .exact_numbers import Rational, _digits_of_int, _int_from_digits
+from .errors import DomainError, RangeError
+from .exact_numbers import Rational, _digits_of_int, _int_from_digits, to_string
 
 __all__ = (
     "DecimalExpansion", "PeriodReport", "digit_at", "expand",
@@ -29,6 +35,23 @@ __all__ = (
 )
 
 _EXPANSION_RE = re.compile(r"^(\d+)\.(\d*)\((\d+)\)$")
+
+# the most digits, preperiod plus one period, that `expand` divides out
+# and `period_length` walks; 1/10000019, whose period has 10000018, fits
+MAX_DIGITS = 2 * 10**7
+
+# digits per long division in `expand`: str() of a block is quadratic in
+# its length, and 256 measured faster than 64, 128 or 1024
+_BLOCK = 256
+_BLOCK_SCALE = 10**_BLOCK
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_NEXT_PRIME_SQUARED = 53 * 53  # a cofactor free of _SMALL_PRIMES is prime below this
+# Miller-Rabin to the first 13 prime bases is exact below 3.3 * 10^24
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+_RHO_BATCH = 128  # rho steps per gcd
 
 
 class DecimalExpansion(tuple):
@@ -70,31 +93,68 @@ class PeriodReport(NamedTuple):
 
 
 def expand(x: Rational) -> DecimalExpansion:
-    """Minimal (preperiod, period) of x >= 0 by long division.
+    """Minimal (preperiod, period) of x >= 0, in closed form.
 
-    The remainder sequence p*10^j mod q repeats exactly when the digits
-    do, so the first repeated remainder marks the minimal preperiod and
-    period. Remainder 0 repeats at once with digit 0: period "0".
+    `period_length_by_order` gives the preperiod length mu and period
+    length lambda first, so the mu + lambda digits are divided out in
+    blocks of up to 256 with no search, and an expansion longer than
+    MAX_DIGITS is refused before any digit is made. A terminating x
+    carries period "0", the digit after its preperiod.
     """
-    if x < 0:
-        raise DomainError("negative input")
+    lam, mu, _ = period_length_by_order(x)
+    n = mu + lam
+    if n > MAX_DIGITS:
+        raise _over_the_limit(x)
     den = x.denominator
     whole, rem = divmod(x.numerator, den)
-    digits: list[str] = []
-    seen: dict[int, int] = {}
-    while rem not in seen:
-        seen[rem] = len(digits)
-        rem *= 10
-        digits.append(str(rem // den))
-        rem %= den
-    start = seen[rem]
-    return DecimalExpansion(whole, "".join(digits[:start]), "".join(digits[start:]))
+    blocks = []
+    for start in range(0, n, _BLOCK):
+        k = min(_BLOCK, n - start)
+        block, rem = divmod(rem * (_BLOCK_SCALE if k == _BLOCK else 10**k), den)
+        blocks.append(str(block).zfill(k))
+    digits = "".join(blocks)
+    return DecimalExpansion(whole, digits[:mu], digits[mu:])
 
 
 def period_length(x: Rational) -> PeriodReport:
-    """Report from the long-division expansion of x."""
-    e = expand(x)
-    return PeriodReport(len(e.period), len(e.preperiod), e.period == "0")
+    """Report from long division with remainder-cycle detection.
+
+    The remainders r -> 10*r mod q of the long division repeat exactly
+    when the digits do. Brent's cycle finder walks them in O(1) memory:
+    a walker is compared with the remainder parked at the start of each
+    round, rounds doubling in length up to MAX_DIGITS, and its first
+    meeting gives the period lambda; two walkers lambda apart then first
+    meet after the preperiod mu. Remainder 0 repeats at once:
+    terminating, period 1. As in `expand`, mu + lambda > MAX_DIGITS is
+    a RangeError: a round of MAX_DIGITS steps without a meeting starts
+    from a remainder at least MAX_DIGITS - 1 steps in, so it implies
+    that. This never consults the order of 10.
+    """
+    if x.numerator < 0:
+        raise DomainError("negative input")
+    q = x.denominator
+    start = x.numerator % q
+    parked, walker, power, lam = start, start, 1, 0
+    while not lam:
+        for steps in range(1, power + 1):
+            walker = walker * 10 % q
+            if walker == parked:
+                lam = steps
+                break
+        else:
+            if power == MAX_DIGITS:
+                raise _over_the_limit(x)
+            parked, power = walker, min(2 * power, MAX_DIGITS)
+    behind, ahead, mu = start, start * pow(10, lam, q) % q, 0
+    while behind != ahead:
+        behind, ahead, mu = behind * 10 % q, ahead * 10 % q, mu + 1
+    if mu + lam > MAX_DIGITS:
+        raise _over_the_limit(x)
+    return PeriodReport(lam, mu, ahead == 0)
+
+
+def _over_the_limit(x: Rational) -> RangeError:
+    return RangeError(f"the expansion of {to_string(x)} has more than {MAX_DIGITS} digits")
 
 
 def period_length_by_order(x: Rational) -> PeriodReport:
@@ -104,7 +164,7 @@ def period_length_by_order(x: Rational) -> PeriodReport:
     reduced denominator 2^a * 5^b * d: one preperiod digit, max(a, b) in
     all. The period is the order of 10 modulo d (terminating if d = 1).
     """
-    if x < 0:
+    if x.numerator < 0:
         raise DomainError("negative input")
     den = x.denominator
     preperiod = 0
@@ -116,26 +176,141 @@ def period_length_by_order(x: Rational) -> PeriodReport:
     return PeriodReport(multiplicative_order(10, den), preperiod, False)
 
 
+def _is_prime(n: int) -> bool:
+    # n odd and free of the small primes. Miller-Rabin to the first 13
+    # prime bases is exact below _MR_EXACT_BELOW; past it n must also
+    # pass a strong Lucas test, and the pair is Baillie-PSW
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        y = pow(a, d, n)
+        if y == 1 or y == n - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return n < _MR_EXACT_BELOW or _is_strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    # Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _is_strong_lucas_probable_prime(n: int) -> bool:
+    # Lucas sequences U, V with P = 1 and Q = (1 - D)/4, D the first of
+    # 5, -7, 9, -11, ... with (D/n) = -1 (Selfridge); n odd, past 3
+    if math.isqrt(n) ** 2 == n:  # no such D exists for a square
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    U, V, Qk = 0, 2, 1  # U_k, V_k and Q^k at k = 0, then over the bits of d
+    for bit in bin(d)[2:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n  # k -> 2k
+        if bit == "1":  # k -> k + 1; an odd value is made even by adding n
+            U, V = U + V, D * U + V
+            U, V, Qk = (U + n * (U & 1)) // 2 % n, (V + n * (V & 1)) // 2 % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _rho_divisor(n: int) -> int:
+    # a proper divisor of an odd composite n: Pollard rho in Brent's
+    # variant, y -> y^2 + c, with the differences multiplied up and one
+    # gcd per batch. A batch that overshoots to gcd n is replayed
+    # one step at a time; a cycle that still gives n moves on to the next c
+    for c in itertools.count(1):
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = math.gcd(prod, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(x - saved, n)
+        if g != n:
+            return g
+
+
 def _prime_factors(n: int) -> list[int]:
-    factors = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors.append(n)
-    return factors
+    """The distinct primes of n >= 1, ascending.
+
+    Trial division by the primes below 53 comes first; what is left has
+    no prime below 53, so below 53^2 it is 1 or prime. A larger cofactor
+    is tested by `_is_prime` and, if composite, split by its square root
+    or by `_rho_divisor` until every part is prime.
+    """
+    primes = []
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            primes.append(p)
+            n //= p
+            while n % p == 0:
+                n //= p
+    if n < _NEXT_PRIME_SQUARED:
+        return primes + [n] if n > 1 else primes
+    large, parts = set(), [n]
+    while parts:
+        m = parts.pop()
+        if _is_prime(m):
+            large.add(m)
+        elif (r := math.isqrt(m)) * r == m:
+            parts.append(r)
+        else:
+            d = _rho_divisor(m)
+            parts += (d, m // d)
+    return primes + sorted(large)
 
 
 def multiplicative_order(base: int, modulus: int) -> int:
     """Least l >= 1 with base**l = 1 (mod modulus).
 
     The order divides Euler's phi(n) = n * prod(1 - 1/p) over the primes
-    p of n, so stripping prime factors from phi(n) finds it; trial
-    division factors fast enough at the scales this package works at.
+    p of n, so stripping prime factors from phi(n) finds it. Factoring
+    is trial division by the primes below 53, then Pollard-Brent rho;
+    primality is Miller-Rabin to 13 bases, proven exact below
+    3.3 * 10^24, and past that bound it rests on Baillie-PSW (no
+    counterexample is known).
     """
     if modulus < 2:
         raise DomainError("modulus must be >= 2")
@@ -180,16 +355,18 @@ def find_period_at_least(min_length: int) -> Rational:
     """Some 1/d whose period length is at least min_length.
 
     Scans d coprime to 10 for an order of 10 >= min_length, from
-    min_length + 1 since that order is at most d - 1; expand re-verifies
-    the winner. The scan ends: the order of 10 mod 10^k - 1 is k.
+    min_length + 1 since that order is at most d - 1; `period_length`'s
+    long division re-verifies the winner. The scan ends: the order of 10 mod 10^k - 1 is k.
     """
     if min_length < 1:
         raise DomainError("period length bound must be >= 1")
+    if min_length > MAX_DIGITS:  # the re-check would refuse every winner
+        raise RangeError(f"period length bound {min_length} exceeds {MAX_DIGITS} digits")
     d = max(3, min_length + 1)
     while True:
         if math.gcd(d, 10) == 1 and multiplicative_order(10, d) >= min_length:
             result = Fraction(1, d)
-            if len(expand(result).period) < min_length:  # an explicit check survives -O
+            if period_length(result).period_length < min_length:  # an explicit check survives -O
                 raise AssertionError(f"long division of 1/{d} disagrees with the order of 10")
             return result
         d += 1

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from diagcf.cli import MAX_EXPONENT, run
+from diagcf.decimal_expansion import MAX_DIGITS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -109,16 +111,28 @@ class TestDecimal:
         import diagcf.decimal_expansion as decimal_expansion
 
         divided = []
-        expand = decimal_expansion.expand
+        period_length = decimal_expansion.period_length
 
         def spy(x):
             divided.append(x)
-            return expand(x)
+            return period_length(x)
 
-        monkeypatch.setattr(decimal_expansion, "expand", spy)
+        monkeypatch.setattr(decimal_expansion, "period_length", spy)
         code, out, _ = invoke(capsys, "decimal", "find-period", "50")
         assert (code, out) == (0, "1/59 (period length 58)\n")
         assert divided == [Fraction(1, 59)]
+
+    def test_expansion_over_the_digit_limit_is_refused(self):
+        # 10^9 + 7 is prime and 10 has order 10^9 + 6 modulo it: the length
+        # is known, and refused, before a digit is divided
+        started = time.perf_counter()
+        done = run_process("decimal", "expand", "1/1000000007", timeout=10)
+        assert time.perf_counter() - started < 2
+        assert (done.returncode, done.stdout) == (1, "")
+        assert "Traceback" not in done.stderr
+        assert done.stderr == (
+            f"error: the expansion of 1/1000000007 has more than {MAX_DIGITS} digits\n"
+        )
 
 
 class TestDiag:

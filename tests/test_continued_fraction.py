@@ -39,6 +39,22 @@ def prefix_value(terms, length):
     return value
 
 
+def floor_and_reciprocal(x, eps) -> tuple[int, ...]:
+    """Independent oracle: floor-and-reciprocal in Fraction arithmetic up to
+    the first convergent within eps of x, with a trailing 1 merged."""
+    target, tolerance = Fraction(x), Fraction(eps)
+    t, terms = target, []
+    while True:
+        a = t.numerator // t.denominator
+        terms.append(a)
+        if abs(target - prefix_value(terms, len(terms))) <= tolerance:
+            break
+        t = 1 / (t - a)
+    if len(terms) >= 2 and terms[-1] == 1:
+        terms[-2:] = [terms[-2] + 1]
+    return tuple(terms)
+
+
 class TestContinuedFractionType:
     def test_str(self):
         assert str(ContinuedFraction((0, 1, 6))) == "[0; 1, 6]"
@@ -266,6 +282,23 @@ class TestFromRealApprox:
             cf = from_real_approx(x, eps)
             assert abs(Fraction(x) - to_rational(cf)) <= Fraction(eps)
             assert cf.is_canonical
+
+    @given(
+        st.one_of(
+            st.floats(1e-300, 1e300),
+            st.floats(1e-2, 1e2),
+            st.builds(Fraction, st.integers(1, 10**40), st.integers(1, 10**40)),
+        ),
+        st.one_of(st.sampled_from([1e-12, 1e-6, 0.5, 100.0, 5e-324]), st.floats(1e-30, 10.0)),
+    )
+    def test_matches_floor_and_reciprocal(self, x, eps):
+        assert from_real_approx(x, eps).terms == floor_and_reciprocal(x, eps)
+
+    def test_seeded_floats_match_floor_and_reciprocal(self):
+        rng = random.Random(29)
+        for _ in range(1000):
+            x = 10 ** rng.uniform(-2, 2)
+            assert from_real_approx(x, 1e-12).terms == floor_and_reciprocal(x, 1e-12)
 
     def test_accepts_exact_rational_input(self):
         assert from_real_approx(Fraction(6, 7), Fraction(1, 10**30)).terms == (0, 1, 6)

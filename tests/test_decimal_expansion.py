@@ -2,17 +2,19 @@ import math
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import diagcf.decimal_expansion
 from diagcf import (
     DecimalExpansion,
     DomainError,
     PeriodReport,
+    RangeError,
     digit_at,
     expand,
     find_period_at_least,
@@ -22,8 +24,15 @@ from diagcf import (
     period_length_by_order,
     reconstruct,
 )
+from diagcf.decimal_expansion import _is_strong_lucas_probable_prime, _prime_factors
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# 2^a * 5^b * d: the preperiod is max(a, b), the period is d's
+denominators = st.builds(
+    lambda a, b, d: 2**a * 5**b * d, st.integers(0, 15), st.integers(0, 15), st.integers(1, 3000)
+)
+
 
 def order_brute(base, modulus):
     """Independent oracle: step the power until it returns to 1."""
@@ -33,6 +42,33 @@ def order_brute(base, modulus):
         r = r * base % modulus
         length += 1
     return length
+
+
+def expand_by_digit(x: Fraction) -> DecimalExpansion:
+    """Independent oracle: long division one digit at a time, up to the
+    first repeated remainder."""
+    den = x.denominator
+    whole, rem = divmod(x.numerator, den)
+    digits, seen = [], {}
+    while rem not in seen:
+        seen[rem] = len(digits)
+        rem *= 10
+        digits.append(str(rem // den))
+        rem %= den
+    start = seen[rem]
+    return DecimalExpansion(whole, "".join(digits[:start]), "".join(digits[start:]))
+
+
+def primes_by_trial_division(n: int) -> list[int]:
+    """Independent oracle: the distinct primes of n, by every divisor up to its root."""
+    primes, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return primes + [n] if n > 1 else primes
 
 
 def unrolled_digits(e: DecimalExpansion, n: int) -> str:
@@ -84,6 +120,23 @@ class TestExpand:
     def test_round_trip_property(self, x):
         assert reconstruct(expand(x)) == x
 
+    @given(
+        st.one_of(st.integers(0, 10**6), st.integers(10**4300, 10**4301)),
+        denominators,
+    )
+    @example(0, 1)
+    @example(7, 1)
+    @example(1, 2**15)
+    @example(10**4300 + 1, 7 * 2**3 * 5**9)
+    def test_matches_digit_by_digit_long_division(self, p, q):
+        # integers, zero, 2^a * 5^b denominators, mixed preperiods, numerators
+        # past CPython's 4300-digit int/str limit
+        x = Fraction(p, q)
+        assert expand(x) == expand_by_digit(x)
+
+    def test_period_of_a_million_and_three(self):
+        assert len(expand(Fraction(1, 1000003)).period) == 166667
+
     def test_round_trip_past_the_int_string_limit(self):
         # the period of 1/10007 has 10006 digits, over CPython's 4300
         x = Fraction(1, 10007)
@@ -123,6 +176,60 @@ class TestPeriodLength:
     def test_terminating_reports(self):
         assert period_length(Fraction(5)) == PeriodReport(1, 0, True)
         assert period_length(Fraction(1, 8)) == PeriodReport(1, 3, True)
+
+    def test_long_division_alone(self, monkeypatch):
+        # the long-division side of the oracle pair reaches its report
+        # without the order of 10, which expand also rests on
+        for name in ("expand", "multiplicative_order", "period_length_by_order"):
+            monkeypatch.setattr(diagcf.decimal_expansion, name, None)
+        rng = random.Random(53)
+        for _ in range(300):
+            x = Fraction(rng.randint(0, 3000), rng.choice([1, 2, 5, 8, 40, 3, 7]) * rng.randint(1, 300))
+            e = expand_by_digit(x)
+            assert period_length(x) == PeriodReport(len(e.period), len(e.preperiod), e.period == "0")
+
+
+class TestDigitLimit:
+    def test_refused_before_a_digit_is_divided(self):
+        # 10^9 + 7 is prime and 10 has order 10^9 + 6 modulo it
+        started = time.perf_counter()
+        with pytest.raises(RangeError, match="^the expansion of 1/1000000007 has more than"):
+            expand(Fraction(1, 1000000007))
+        assert time.perf_counter() - started < 1
+
+    def test_a_ten_million_digit_period_fits(self):
+        e = expand(Fraction(1, 10000019))
+        assert (len(e.preperiod), len(e.period)) == (0, 10000018)
+        # the period read as an integer is (10^lambda - 1) / 10000019
+        assert e.period.startswith("00000009999981")
+        assert int(e.period[-12:]) * 10000019 % 10**12 == 10**12 - 1
+
+    @given(
+        st.builds(
+            Fraction,
+            st.integers(0, 10**6),
+            st.builds(lambda a, b, d: 2**a * 5**b * d,
+                      st.integers(0, 60), st.integers(0, 60), st.integers(1, 300)),
+        )
+    )
+    @example(Fraction(1, 2**40))  # mu + lambda = 41
+    @example(Fraction(1, 2**39))  # mu + lambda = 40
+    @example(Fraction(1, 41))  # lambda = 5
+    @example(Fraction(1, 83))  # lambda = 41
+    @example(Fraction(1, 2**37 * 41))  # mu = 37, lambda = 5
+    def test_both_routes_refuse_exactly_the_longer_expansions(self, x):
+        # mu + lambda over the limit is refused by the order route (expand)
+        # and by long division (period_length) alike, and nothing else is
+        report = period_length_by_order(x)
+        too_long = report.preperiod_length + report.period_length > 40
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diagcf.decimal_expansion, "MAX_DIGITS", 40)
+            for route in (expand, period_length):
+                if too_long:
+                    with pytest.raises(RangeError, match="has more than 40 digits$"):
+                        route(x)
+                else:
+                    route(x)
 
 
 class TestPeriodLengthByOrder:
@@ -169,11 +276,90 @@ class TestMultiplicativeOrder:
                     if math.gcd(b, n) == 1:
                         assert multiplicative_order(b, n) == order_brute(b, n)
 
+    @given(st.integers(2, 4999).filter(lambda d: math.gcd(d, 10) == 1))
+    def test_property_against_brute_force(self, d):
+        assert multiplicative_order(10, d) == order_brute(10, d)
+
+    @pytest.mark.parametrize(
+        "modulus, order, primes",
+        [
+            (2**61 - 1, (2**61 - 2) // 2, (3, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321)),
+            (10**14 + 31, 50000000000015, (5, 13, 29, 547, 48492137)),
+        ],
+    )
+    def test_large_prime_moduli(self, modulus, order, primes):
+        started = time.perf_counter()
+        assert multiplicative_order(10, modulus) == order
+        assert time.perf_counter() - started < 1
+        # the pinned order's certificate: the primes are all of its primes,
+        # 10^order = 1 and no 10^(order / p) is
+        assert [p for p in primes if primes_by_trial_division(p) == [p]] == list(primes)
+        rest = order
+        for p in primes:
+            while rest % p == 0:
+                rest //= p
+        assert rest == 1
+        assert pow(10, order, modulus) == 1
+        assert all(pow(10, order // p, modulus) != 1 for p in primes)
+
     def test_errors(self):
         with pytest.raises(DomainError):
             multiplicative_order(10, 1)
         with pytest.raises(DomainError, match="coprime"):
             multiplicative_order(10, 4)
+
+
+class TestPrimeFactors:
+    @pytest.mark.parametrize(
+        "n, primes",
+        [
+            (3215031751, [151, 751, 28351]),  # strong pseudoprime to bases 2, 3, 5, 7
+            # strong pseudoprime to every prime base up to 31
+            (3825123056546413051, [149491, 747451, 34233211]),
+            (561, [3, 11, 17]),  # Carmichael numbers
+            (41041, [7, 11, 13, 41]),
+            (825265, [5, 7, 17, 19, 73]),
+            (10007**2, [10007]),  # prime squares
+            (999999000001**2, [999999000001]),
+            (1000003 * 1000033, [1000003, 1000033]),
+        ],
+    )
+    def test_pinned(self, n, primes):
+        assert _prime_factors(n) == primes
+
+    @given(st.integers(1, 10**7))
+    @example(1)
+    @example(2809)  # 53^2, the first square past the trial primes
+    @example(53 * 59)
+    def test_property_against_trial_division(self, n):
+        assert _prime_factors(n) == primes_by_trial_division(n)
+
+    @given(st.integers(10**4, 10**6), st.integers(10**4, 10**6))
+    def test_products_of_two_primes(self, a, b):
+        p, q = (next(n for n in range(m, 2 * m) if primes_by_trial_division(n) == [n]) for m in (a, b))
+        assert _prime_factors(p * q) == sorted({p, q})
+
+    def test_past_the_exact_miller_rabin_bound(self):
+        # above 3.3 * 10^24 primality also takes the strong Lucas test
+        m31, m61, m89 = 2**31 - 1, 2**61 - 1, 2**89 - 1  # Mersenne primes
+        assert _prime_factors(m89) == [m89]
+        assert _prime_factors(2**127 - 1) == [2**127 - 1]
+        assert _prime_factors(m61 * m31 * m31) == [m31, m61]
+        assert _prime_factors(m61**2) == [m61]
+        assert _prime_factors(m89 * 3**5 * 47) == [3, 47, m89]
+
+    def test_strong_lucas_passes_primes_and_its_known_pseudoprimes(self):
+        # the odd composites below 20000 that pass the strong Lucas test with
+        # Selfridge's parameters are exactly these (OEIS A217255)
+        passed = {
+            n for n in range(5, 20000, 2)
+            if _is_strong_lucas_probable_prime(n) and primes_by_trial_division(n) != [n]
+        }
+        assert passed == {5459, 5777, 10877, 16109, 18971}
+        assert all(
+            _is_strong_lucas_probable_prime(n)
+            for n in range(5, 20000, 2) if primes_by_trial_division(n) == [n]
+        )
 
 
 class TestDigitAt:
@@ -304,6 +490,12 @@ class TestFindPeriodAtLeast:
     def test_errors(self):
         with pytest.raises(DomainError):
             find_period_at_least(0)
+
+    def test_bound_over_the_digit_limit_is_refused_before_the_scan(self, monkeypatch):
+        monkeypatch.setattr(diagcf.decimal_expansion, "multiplicative_order", None)
+        limit = diagcf.decimal_expansion.MAX_DIGITS
+        with pytest.raises(RangeError, match=f"^period length bound {limit + 1} exceeds {limit} digits$"):
+            find_period_at_least(limit + 1)
 
 
 class TestTextForm:
