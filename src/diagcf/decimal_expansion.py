@@ -4,12 +4,13 @@ The period of x = p/q is the multiplicative order of 10 modulo q
 stripped of its factors of 2 and 5, and the preperiod is the larger of
 the two exponents stripped. `period_length_by_order` computes both by
 number theory, with Miller-Rabin and Pollard-Brent rho to factor q
-and Euler's phi(q). `expand` takes the two lengths from it
-and divides out exactly that many digits in blocks, with no search.
+and Euler's phi(q) (`_factoring`). `expand` takes the two lengths from
+it and divides out exactly that many digits in blocks, with no search.
 `period_length` reaches the same numbers by a different route, long
 division with remainder-cycle detection that never consults the order,
 which the test suite uses as an independent cross-check; `expand`
-itself is checked against `reconstruct`.
+itself is checked against `reconstruct`, and takes the lengths from
+`period_length` only where rho gives up on q.
 
 Terminating decimals are represented with the trailing-zero convention:
 period "0", never a 9-tail. Nine-repeating periods are rejected on
@@ -18,7 +19,6 @@ input as well, since the same value always has a plain representation.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import re
@@ -40,18 +40,11 @@ _EXPANSION_RE = re.compile(r"^(\d+)\.(\d*)\((\d+)\)$")
 # and `period_length` walks; 1/10000019, whose period has 10000018, fits
 MAX_DIGITS = 2 * 10**7
 
-# digits per long division in `expand`: str() of a block is quadratic in
-# its length, and 256 measured faster than 64, 128 or 1024
+# the most digits one long division makes, in `expand` and in
+# `enumeration.digits_of`: str() of a block is quadratic in its length,
+# and 256 measured faster than 64, 128 or 1024 on the period of 1/1000003
 _BLOCK = 256
-_BLOCK_SCALE = 10**_BLOCK
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-_NEXT_PRIME_SQUARED = 53 * 53  # a cofactor free of _SMALL_PRIMES is prime below this
-# Miller-Rabin to the first 13 prime bases is exact below 3.3 * 10^24
-# (Sorenson and Webster, Math. Comp. 86, 2017)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
-_RHO_BATCH = 128  # rho steps per gcd
+_SCALES = {k: 10**k for k in (16, 32, 64, 128, _BLOCK)}  # the block sizes of a digits_of walk
 
 
 class DecimalExpansion(tuple):
@@ -93,15 +86,20 @@ class PeriodReport(NamedTuple):
 
 
 def expand(x: Rational) -> DecimalExpansion:
-    """Minimal (preperiod, period) of x >= 0, in closed form.
+    """Minimal (preperiod, period) of x >= 0, with no search.
 
     `period_length_by_order` gives the preperiod length mu and period
-    length lambda first, so the mu + lambda digits are divided out in
-    blocks of up to 256 with no search, and an expansion longer than
-    MAX_DIGITS is refused before any digit is made. A terminating x
-    carries period "0", the digit after its preperiod.
+    length lambda first, so exactly mu + lambda digits are divided out,
+    in blocks of up to 256, and an expansion longer than MAX_DIGITS is
+    refused before any digit is made. Where the denominator resists
+    factoring, `period_length`'s walk of the remainders gives mu and
+    lambda instead, in O(mu + lambda) steps and under the same limit.
+    A terminating x carries period "0", the digit after its preperiod.
     """
-    lam, mu, _ = period_length_by_order(x)
+    try:
+        lam, mu, _ = period_length_by_order(x)
+    except RangeError:  # rho found no factor within its budget
+        lam, mu, _ = period_length(x)
     n = mu + lam
     if n > MAX_DIGITS:
         raise _over_the_limit(x)
@@ -110,7 +108,7 @@ def expand(x: Rational) -> DecimalExpansion:
     blocks = []
     for start in range(0, n, _BLOCK):
         k = min(_BLOCK, n - start)
-        block, rem = divmod(rem * (_BLOCK_SCALE if k == _BLOCK else 10**k), den)
+        block, rem = divmod(rem * (_SCALES[_BLOCK] if k == _BLOCK else 10**k), den)
         blocks.append(str(block).zfill(k))
     digits = "".join(blocks)
     return DecimalExpansion(whole, digits[:mu], digits[mu:])
@@ -176,130 +174,12 @@ def period_length_by_order(x: Rational) -> PeriodReport:
     return PeriodReport(multiplicative_order(10, den), preperiod, False)
 
 
-def _is_prime(n: int) -> bool:
-    # n odd and free of the small primes. Miller-Rabin to the first 13
-    # prime bases is exact below _MR_EXACT_BELOW; past it n must also
-    # pass a strong Lucas test, and the pair is Baillie-PSW
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    for a in _MR_BASES:
-        y = pow(a, d, n)
-        if y == 1 or y == n - 1:
-            continue
-        for _ in range(s - 1):
-            y = y * y % n
-            if y == n - 1:
-                break
-        else:
-            return False
-    return n < _MR_EXACT_BELOW or _is_strong_lucas_probable_prime(n)
-
-
-def _jacobi(a: int, n: int) -> int:
-    # Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity
-    a %= n
-    sign = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
-
-
-def _is_strong_lucas_probable_prime(n: int) -> bool:
-    # Lucas sequences U, V with P = 1 and Q = (1 - D)/4, D the first of
-    # 5, -7, 9, -11, ... with (D/n) = -1 (Selfridge); n odd, past 3
-    if math.isqrt(n) ** 2 == n:  # no such D exists for a square
-        return False
-    D = 5
-    while (j := _jacobi(D, n)) != -1:
-        if j == 0 and abs(D) != n:
-            return False
-        D = -D - 2 if D > 0 else 2 - D
-    Q = (1 - D) // 4
-    d = n + 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    U, V, Qk = 0, 2, 1  # U_k, V_k and Q^k at k = 0, then over the bits of d
-    for bit in bin(d)[2:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n  # k -> 2k
-        if bit == "1":  # k -> k + 1; an odd value is made even by adding n
-            U, V = U + V, D * U + V
-            U, V, Qk = (U + n * (U & 1)) // 2 % n, (V + n * (V & 1)) // 2 % n, Qk * Q % n
-    if U == 0 or V == 0:
-        return True
-    for _ in range(s - 1):
-        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
-        if V == 0:
-            return True
-    return False
-
-
-def _rho_divisor(n: int) -> int:
-    # a proper divisor of an odd composite n: Pollard rho in Brent's
-    # variant, y -> y^2 + c, with the differences multiplied up and one
-    # gcd per batch. A batch that overshoots to gcd n is replayed
-    # one step at a time; a cycle that still gives n moves on to the next c
-    for c in itertools.count(1):
-        y, r, prod, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                saved = y
-                for _ in range(min(_RHO_BATCH, r - k)):
-                    y = (y * y + c) % n
-                    prod = prod * (x - y) % n
-                g = math.gcd(prod, n)
-                k += _RHO_BATCH
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                saved = (saved * saved + c) % n
-                g = math.gcd(x - saved, n)
-        if g != n:
-            return g
-
-
 def _prime_factors(n: int) -> list[int]:
-    """The distinct primes of n >= 1, ascending.
-
-    Trial division by the primes below 53 comes first; what is left has
-    no prime below 53, so below 53^2 it is 1 or prime. A larger cofactor
-    is tested by `_is_prime` and, if composite, split by its square root
-    or by `_rho_divisor` until every part is prime.
-    """
-    primes = []
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
-        if n % p == 0:
-            primes.append(p)
-            n //= p
-            while n % p == 0:
-                n //= p
-    if n < _NEXT_PRIME_SQUARED:
-        return primes + [n] if n > 1 else primes
-    large, parts = set(), [n]
-    while parts:
-        m = parts.pop()
-        if _is_prime(m):
-            large.add(m)
-        elif (r := math.isqrt(m)) * r == m:
-            parts.append(r)
-        else:
-            d = _rho_divisor(m)
-            parts += (d, m // d)
-    return primes + sorted(large)
+    # `_factoring` is compiled on the first call, not by `import diagcf`;
+    # the import rebinds this name to its `prime_factors`
+    global _prime_factors
+    from ._factoring import prime_factors as _prime_factors
+    return _prime_factors(n)
 
 
 def multiplicative_order(base: int, modulus: int) -> int:
@@ -307,10 +187,11 @@ def multiplicative_order(base: int, modulus: int) -> int:
 
     The order divides Euler's phi(n) = n * prod(1 - 1/p) over the primes
     p of n, so stripping prime factors from phi(n) finds it. Factoring
-    is trial division by the primes below 53, then Pollard-Brent rho;
-    primality is Miller-Rabin to 13 bases, proven exact below
-    3.3 * 10^24, and past that bound it rests on Baillie-PSW (no
-    counterexample is known).
+    (`_factoring`) is trial division by the primes below 53, then
+    Pollard-Brent rho; primality is Miller-Rabin to 13 bases, proven
+    exact below 3.3 * 10^24, and past that bound it rests on Baillie-PSW
+    (no counterexample is known). A number that rho cannot split within
+    `_factoring.MAX_RHO_STEPS` steps is a RangeError.
     """
     if modulus < 2:
         raise DomainError("modulus must be >= 2")

@@ -12,8 +12,9 @@ also answer `entry(k)`: item k computed directly, in O(log k) for a
 rational's digits and O(1) for the named quotient streams, without
 moving the position. Streams built from a bare iterable have no
 `entry` and can only be walked. A rational's digits are walked by long
-division a block of up to 1024 digits at a time, so walking k digits
-takes O(log k) Python steps; `take` moves the digits themselves in C.
+division a block of up to 256 digits at a time, so walking k digits
+takes O(log k + k/256) Python steps; `take` moves the digits themselves
+in C.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .decimal_expansion import digit_at
+from .decimal_expansion import _BLOCK, _SCALES, digit_at
 from .errors import DomainError, RangeError
 from .exact_numbers import Rational, _digits_of_int, to_string
 
@@ -45,8 +46,6 @@ PI_PARTIAL_QUOTIENTS: tuple[int, ...] = (
 _DIGITS = bytes(range(10))
 # ASCII digits to their values, so iterating a block yields ints 0..9
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", _DIGITS)
-# 10**n for the block sizes n of a digit walk
-_SCALES = {n: 10**n for n in (16, 32, 64, 128, 256, 512, 1024)}
 
 
 def _check_digits(index: int, run: Sequence[int]) -> None:
@@ -182,25 +181,27 @@ def calkin_wilf() -> Stream:
 def digits_of(x: Rational) -> Stream:
     """Decimal digit stream of x >= 0; trailing zeros run forever.
 
-    The walk is long division in blocks of 16, 32, ..., 1024 digits, so
-    `take(k)` costs O(log k) Python steps and divides out at most 2k + 16
-    digits: nothing runs ahead of what is pulled. `entry(k)` is
+    The walk is long division in blocks of 16, 32, ..., 256 digits, so
+    `take(k)` costs O(log k + k/256) Python steps and divides out at most
+    2k + 16 digits: nothing runs ahead of what is pulled. `entry(k)` is
     `digit_at`'s modular power, independent of the walk.
     """
     if x.numerator < 0:
         raise DomainError("negative input")
 
     def blocks() -> Iterator[bytes]:
-        # long division n digits at a time, n = 16, 32, ..., 1024: a run of
-        # k digits divides out at most 2k + 16, and `take` moves them in C;
-        # the block's quotient is dropped before the yield, so the frame
-        # holds no big int between pulls
+        # long division n digits at a time, n = 16, 32, ..., _BLOCK: a run of
+        # k digits divides out at most 2k + 16, and `take` moves them in C.
+        # `expand` divides a count known in advance; a generator shared with
+        # it slowed the diagonal workload, which makes and walks hundreds of
+        # rows per op. The block's quotient is dropped before the yield, so
+        # the frame holds no big int between pulls
         rem, den, n = x.numerator % x.denominator, x.denominator, 16
         while True:
             block, rem = divmod(rem * _SCALES[n], den)
             block = str(block).zfill(n).encode().translate(_DIGIT_VALUES)
             yield block
-            n = min(2 * n, 1024)
+            n = min(2 * n, _BLOCK)
 
     return Stream(
         itertools.chain.from_iterable(blocks()), "decimal", f"digits of {to_string(x)}",

@@ -24,7 +24,7 @@ from diagcf import (
     period_length_by_order,
     reconstruct,
 )
-from diagcf.decimal_expansion import _is_strong_lucas_probable_prime, _prime_factors
+from diagcf._factoring import is_strong_lucas_probable_prime, prime_factors
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -232,6 +232,41 @@ class TestDigitLimit:
                     route(x)
 
 
+R19, R23 = (10**19 - 1) // 9, (10**23 - 1) // 9  # repunit primes
+
+
+class TestFactoringBudget:
+    # short periods over denominators that rho cannot split within its
+    # budget: 10^71 - 1 = 9 * R71, and R71 is the product of a 30-digit and
+    # a 41-digit prime; R19 * R23 needs about 10^9 rho steps
+
+    @pytest.mark.parametrize("d, period", [(10**71 - 1, 71), (R19 * R23, 437)], ids=["10^71-1", "R19*R23"])
+    def test_expand_takes_the_lengths_from_long_division(self, d, period):
+        started = time.perf_counter()
+        e = expand(Fraction(1, d))
+        assert time.perf_counter() - started < 10
+        assert (len(e.preperiod), len(e.period)) == (0, period)
+        assert e == expand_by_digit(Fraction(1, d))
+
+    def test_the_order_route_refuses(self):
+        started = time.perf_counter()
+        with pytest.raises(RangeError, match="^found no factor of a 134-bit number in 1048576 rho steps$"):
+            period_length_by_order(Fraction(1, R19 * R23))
+        assert time.perf_counter() - started < 10
+
+    def test_factoring_is_loaded_on_first_use(self):
+        # `import diagcf` leaves the factoring module uncompiled
+        probe = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import diagcf\n"
+            "print('diagcf._factoring' in sys.modules, diagcf.multiplicative_order(10, 7),\n"
+            "      'diagcf._factoring' in sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", probe, str(SRC)], capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr, done.stdout) == (0, "", "False 6 True\n")
+
+
 class TestPeriodLengthByOrder:
     def test_examples(self):
         # 10 = 1 mod 3
@@ -325,39 +360,39 @@ class TestPrimeFactors:
         ],
     )
     def test_pinned(self, n, primes):
-        assert _prime_factors(n) == primes
+        assert prime_factors(n) == primes
 
     @given(st.integers(1, 10**7))
     @example(1)
     @example(2809)  # 53^2, the first square past the trial primes
     @example(53 * 59)
     def test_property_against_trial_division(self, n):
-        assert _prime_factors(n) == primes_by_trial_division(n)
+        assert prime_factors(n) == primes_by_trial_division(n)
 
     @given(st.integers(10**4, 10**6), st.integers(10**4, 10**6))
     def test_products_of_two_primes(self, a, b):
         p, q = (next(n for n in range(m, 2 * m) if primes_by_trial_division(n) == [n]) for m in (a, b))
-        assert _prime_factors(p * q) == sorted({p, q})
+        assert prime_factors(p * q) == sorted({p, q})
 
     def test_past_the_exact_miller_rabin_bound(self):
         # above 3.3 * 10^24 primality also takes the strong Lucas test
         m31, m61, m89 = 2**31 - 1, 2**61 - 1, 2**89 - 1  # Mersenne primes
-        assert _prime_factors(m89) == [m89]
-        assert _prime_factors(2**127 - 1) == [2**127 - 1]
-        assert _prime_factors(m61 * m31 * m31) == [m31, m61]
-        assert _prime_factors(m61**2) == [m61]
-        assert _prime_factors(m89 * 3**5 * 47) == [3, 47, m89]
+        assert prime_factors(m89) == [m89]
+        assert prime_factors(2**127 - 1) == [2**127 - 1]
+        assert prime_factors(m61 * m31 * m31) == [m31, m61]
+        assert prime_factors(m61**2) == [m61]
+        assert prime_factors(m89 * 3**5 * 47) == [3, 47, m89]
 
     def test_strong_lucas_passes_primes_and_its_known_pseudoprimes(self):
         # the odd composites below 20000 that pass the strong Lucas test with
         # Selfridge's parameters are exactly these (OEIS A217255)
         passed = {
             n for n in range(5, 20000, 2)
-            if _is_strong_lucas_probable_prime(n) and primes_by_trial_division(n) != [n]
+            if is_strong_lucas_probable_prime(n) and primes_by_trial_division(n) != [n]
         }
         assert passed == {5459, 5777, 10877, 16109, 18971}
         assert all(
-            _is_strong_lucas_probable_prime(n)
+            is_strong_lucas_probable_prime(n)
             for n in range(5, 20000, 2) if primes_by_trial_division(n) == [n]
         )
 
