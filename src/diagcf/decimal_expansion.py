@@ -7,8 +7,8 @@ number theory, with Miller-Rabin and Pollard-Brent rho to factor q
 and Euler's phi(q) (`_factoring`). `expand` takes the two lengths from
 it and divides out exactly that many digits in blocks, with no search.
 `period_length` reaches the same numbers by a different route, long
-division with remainder-cycle detection that never consults the order,
-which the test suite uses as an independent cross-check; `expand`
+division that walks the remainder cycle once and never consults the
+order, which the test suite uses as an independent cross-check; `expand`
 itself is checked against `reconstruct`, and takes the lengths from
 `period_length` only where rho gives up on q.
 
@@ -115,34 +115,30 @@ def expand(x: Rational) -> DecimalExpansion:
 
 
 def period_length(x: Rational) -> PeriodReport:
-    """Report from long division with remainder-cycle detection.
+    """Report from long division, walking the remainder cycle once.
 
-    The remainders r -> 10*r mod q of the long division repeat exactly
-    when the digits do. Brent's cycle finder walks them in O(1) memory:
-    a walker is compared with the remainder parked at the start of each
-    round, rounds doubling in length up to MAX_DIGITS, and its first
-    meeting gives the period lambda; two walkers lambda apart then first
-    meet after the preperiod mu. Remainder 0 repeats at once:
-    terminating, period 1. As in `expand`, mu + lambda > MAX_DIGITS is
-    a RangeError: a round of MAX_DIGITS steps without a meeting starts
-    from a remainder at least MAX_DIGITS - 1 steps in, so it implies
-    that. This never consults the order of 10.
+    The remainders r -> 10*r mod q repeat exactly when the digits do.
+    The preperiod mu, max(a, b) for the 2^a and 5^b in q, is shorter
+    than B = q.bit_length() digits, so the remainder after B digits is
+    on the cycle, and one O(1)-memory walk from it first returns after
+    the period lambda; two walkers lambda apart then meet after mu
+    digits: B + lambda + mu remainders, the first B in one modular
+    power. Remainder 0 repeats at once: terminating, period 1. As in
+    `expand`, mu + lambda > MAX_DIGITS is a RangeError, and the walk
+    refuses after MAX_DIGITS steps without a return. This never consults
+    the order of 10; a wrong bound on mu could only make the walk refuse.
     """
     if x.numerator < 0:
         raise DomainError("negative input")
     q = x.denominator
     start = x.numerator % q
-    parked, walker, power, lam = start, start, 1, 0
-    while not lam:
-        for steps in range(1, power + 1):
-            walker = walker * 10 % q
-            if walker == parked:
-                lam = steps
-                break
-        else:
-            if power == MAX_DIGITS:
-                raise _over_the_limit(x)
-            parked, power = walker, min(2 * power, MAX_DIGITS)
+    walker = on_cycle = start * pow(10, q.bit_length(), q) % q
+    for lam in range(1, MAX_DIGITS + 1):
+        walker = walker * 10 % q
+        if walker == on_cycle:
+            break
+    else:
+        raise _over_the_limit(x)
     behind, ahead, mu = start, start * pow(10, lam, q) % q, 0
     while behind != ahead:
         behind, ahead, mu = behind * 10 % q, ahead * 10 % q, mu + 1
@@ -236,8 +232,8 @@ def find_period_at_least(min_length: int) -> Rational:
     """Some 1/d whose period length is at least min_length.
 
     Scans d coprime to 10 for an order of 10 >= min_length, from
-    min_length + 1 since that order is at most d - 1; `period_length`'s
-    long division re-verifies the winner. The scan ends: the order of 10 mod 10^k - 1 is k.
+    min_length + 1 as that order is at most d - 1; the scan ends, since
+    10 has order k mod 10^k - 1. `period_length` re-verifies the winner.
     """
     if min_length < 1:
         raise DomainError("period length bound must be >= 1")

@@ -10,6 +10,7 @@ and the textual form used by the CLI.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import DomainError
@@ -20,18 +21,18 @@ Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 
-# CPython refuses int/str conversions past 4300 digits by default, so
-# longer numbers are converted in halves of at most this many digits.
-_CHUNK_DIGITS = 4000
+# CPython 3.10.7+ converts int/str of at most sys.get_int_max_str_digits()
+# digits (0: no limit; never set below this threshold); longer go in halves
+_UNCHECKED_DIGITS = getattr(sys.int_info, "str_digits_check_threshold", float("inf"))
 
 
 def _int_from_digits(s: str) -> int:
     """int(s) for an optionally signed digit string of any length.
 
-    Past the chunk size s must be plain digits after the sign, so that
+    Past the int/str limit s must be plain digits after the sign, so that
     its halves can never join a string like "12 34" into one number.
     """
-    if len(s) <= _CHUNK_DIGITS:
+    if len(s) < _UNCHECKED_DIGITS or len(s) <= (sys.get_int_max_str_digits() or len(s)):
         return int(s)
     if s[0] == "-" and s[1:].isdigit():
         return -_int_from_digits(s[1:])
@@ -43,11 +44,12 @@ def _int_from_digits(s: str) -> int:
 
 def _digits_of_int(n: int) -> str:
     """str(n) for an int of any size."""
-    if n.bit_length() <= 3 * _CHUNK_DIGITS:  # a digit carries 3.32 bits
+    bits = n.bit_length()  # a digit carries 3.32 bits
+    if bits < 3 * _UNCHECKED_DIGITS or bits <= 3 * (sys.get_int_max_str_digits() or bits):
         return str(n)
     if n < 0:
         return "-" + _digits_of_int(-n)
-    low = n.bit_length() * 3 // 20  # about half the digits
+    low = bits * 3 // 20  # about half the digits
     high, rest = divmod(n, 10**low)
     return _digits_of_int(high) + _digits_of_int(rest).zfill(low)
 

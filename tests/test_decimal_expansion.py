@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -183,10 +184,33 @@ class TestPeriodLength:
         for name in ("expand", "multiplicative_order", "period_length_by_order"):
             monkeypatch.setattr(diagcf.decimal_expansion, name, None)
         rng = random.Random(53)
-        for _ in range(300):
-            x = Fraction(rng.randint(0, 3000), rng.choice([1, 2, 5, 8, 40, 3, 7]) * rng.randint(1, 300))
+        inputs = [Fraction(rng.randint(0, 3000), rng.choice([1, 2, 5, 8, 40, 3, 7]) * rng.randint(1, 300))
+                  for _ in range(300)]
+        # the preperiods closest to the walk's bound of q.bit_length() digits
+        inputs += [Fraction(1, 2**a) for a in range(301)] + [Fraction(3, 5**b * 7) for b in range(301)]
+        inputs += [Fraction(11, 2**a * 5**b * 13) for a in range(0, 301, 20) for b in range(0, 301, 20)]
+        inputs.append(Fraction(0))
+        for x in inputs:
             e = expand_by_digit(x)
             assert period_length(x) == PeriodReport(len(e.period), len(e.preperiod), e.period == "0")
+
+    def test_refusal_walks_the_cycle_once(self, monkeypatch):
+        # 10 has order (10^12 + 38) / 6 modulo the prime 10^12 + 39; the
+        # walk jumps past the preperiod bound and then takes at most
+        # MAX_DIGITS remainder steps before it refuses
+        class CountingInt(int):
+            steps = 0
+
+            def __rmod__(self, other):
+                CountingInt.steps += 1
+                return int.__rmod__(self, other)
+
+        monkeypatch.setattr(diagcf.decimal_expansion, "MAX_DIGITS", 1000)
+        q = CountingInt(1000000000039)
+        x = types.SimpleNamespace(numerator=1, denominator=q)
+        with pytest.raises(RangeError, match="^the expansion of 1/1000000000039 has more than 1000 digits$"):
+            period_length(x)
+        assert CountingInt.steps <= 1000 + 2 * q.bit_length()
 
 
 class TestDigitLimit:

@@ -103,19 +103,21 @@ def test_to_string_past_the_int_string_limit():
     assert to_string(Fraction(-1, 10**5000)) == "-1/1" + "0" * 5000
 
 
-def test_long_paths_leave_the_global_int_string_limit_alone():
-    # run under CPython's default limit: a limit of 0 would hide any plain
-    # int()/str() call on a long number
+@pytest.mark.parametrize("limit", [640, 4300], ids=["lowest", "default"])
+def test_long_paths_leave_the_global_int_string_limit_alone(limit):
+    # run under CPython's default limit and the lowest it accepts: a limit
+    # of 0 would hide any plain int()/str() call on a long number
     previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
+    sys.set_int_max_str_digits(limit)
     try:
         big = 10**5000
         assert parse_rational(to_string(Fraction(big, 7))) == Fraction(big, 7)
+        assert to_string(Fraction(10**1999, 3)) == "1" + "0" * 1999 + "/3"
         assert reconstruct(expand(Fraction(1, 10007))) == Fraction(1, 10007)
         cf = ContinuedFraction((big, 2))
         assert parse_cf(str(cf)) == cf
         e = expand(Fraction(big, 3))
         assert parse_expansion(str(e)) == e
-        assert sys.get_int_max_str_digits() == 4300
+        assert sys.get_int_max_str_digits() == limit
     finally:
         sys.set_int_max_str_digits(previous)
