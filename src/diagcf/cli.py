@@ -45,7 +45,7 @@ MAX_EXPONENT = 100_000
 # the grammar of Fraction(str): "355/113", "5", "3.1416", "-.5e-3", "1_000"
 _NUMBER_RE = re.compile(
     r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
-    r"(?:/(\d+(?:_\d+)*)|(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?)\s*"
+    r"(?:/(\d+(?:_\d+)*)|(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE](?:\+|(-))?(\d+(?:_\d+)*))?)\s*"
 )
 
 
@@ -169,18 +169,22 @@ def _parse_number(text: str) -> Fraction:
     try:
         if m is None:
             raise ValueError(text)
-        sign, num, den, frac, exp = (g.replace("_", "") for g in m.groups(""))
+        sign, num, den, frac, minus, exp = (g.replace("_", "") for g in m.groups(""))
         value = Fraction(
             _int_from_digits(num + frac or "0"), _int_from_digits(den or "1") * 10 ** len(frac)
         )
-        exponent = int(exp or "0")
+        # past its leading zeros, an ASCII run longer than the bound's is
+        # past the bound and is never read; other scripts' runs are read whole
+        run = exp.lstrip("0") or "0"
+        huge = len(run) > len(str(MAX_EXPONENT)) and run.isascii()
+        exponent = 0 if huge else _int_from_digits(run)
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"invalid number literal: {text!r}") from None
-    if abs(exponent) > MAX_EXPONENT:
+    if huge or exponent > MAX_EXPONENT:  # quote the run: str() fails past the int/str limit
         raise RangeError(
-            f"exponent {exponent} of {text.strip()!r} exceeds {MAX_EXPONENT} in magnitude"
+            f"exponent {minus}{run} of {text.strip()!r} exceeds {MAX_EXPONENT} in magnitude"
         )
-    value *= Fraction(10) ** exponent
+    value *= Fraction(10) ** (-exponent if minus else exponent)
     return -value if sign == "-" else value
 
 

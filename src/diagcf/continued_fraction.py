@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import DomainError, RangeError
-from .exact_numbers import Rational, _digits_of_int, _int_from_digits
+from .exact_numbers import Rational, _digits_of_int, _int_from_digits, _is_digits
 
 __all__ = (
     "ApproximationComparison", "ContinuedFraction", "Convergent",
@@ -219,10 +219,7 @@ def parse_cf(text: str) -> ContinuedFraction:
         parts = [head, *tail.split(",")] if sep else [head]
     else:
         parts = s.split()
-    try:
-        terms = tuple(_int_from_digits(p.strip()) for p in parts)  # "" fails here
-    except ValueError:
-        terms = ()
-    if not terms:
+    parts = [p.strip() for p in parts]
+    if not (all(parts) and _is_digits("".join(parts))):  # each a nonempty digit run
         raise DomainError(f"invalid continued fraction literal: {text!r}")
-    return ContinuedFraction(terms)
+    return ContinuedFraction(map(_int_from_digits, parts))

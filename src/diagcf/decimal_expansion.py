@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, RangeError
-from .exact_numbers import Rational, _digits_of_int, _int_from_digits, to_string
+from .exact_numbers import Rational, _digits_of_int, _int_from_digits, _is_digits, to_string
 
 __all__ = (
     "DecimalExpansion", "PeriodReport", "digit_at", "expand",
@@ -34,7 +34,7 @@ __all__ = (
     "period_length", "period_length_by_order", "reconstruct",
 )
 
-_EXPANSION_RE = re.compile(r"^(\d+)\.(\d*)\((\d+)\)$")
+_EXPANSION_RE = re.compile(r"^([0-9]+)\.([0-9]*)\(([0-9]+)\)$")
 
 # the most digits, preperiod plus one period, that `expand` divides out
 # and `period_length` walks; 1/10000019, whose period has 10000018, fits
@@ -56,12 +56,16 @@ class DecimalExpansion(tuple):
     period = property(operator.itemgetter(2))
 
     def __new__(cls, integer_part: int, preperiod: str, period: str) -> DecimalExpansion:
+        try:
+            integer_part = operator.index(integer_part)
+        except TypeError:
+            raise DomainError(f"integer part must be an integer, got {integer_part!r}") from None
         if integer_part < 0:
             raise DomainError("negative integer part")
         if not period:
             raise DomainError("empty period")
         for block in (preperiod, period):
-            if block and not (block.isascii() and block.isdigit()):
+            if block and not _is_digits(block):
                 raise DomainError(f"invalid digit block: {block!r}")
         if set(period) == {"9"}:
             raise DomainError("nine-repeating period unsupported")

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .decimal_expansion import _BLOCK, _SCALES, digit_at
 from .errors import DomainError, RangeError
-from .exact_numbers import Rational, _digits_of_int, to_string
+from .exact_numbers import Rational, _int_from_digits, _is_digits
 
 __all__ = (
     "PI_PARTIAL_QUOTIENTS", "Stream", "calkin_wilf", "digits_of",
@@ -94,7 +94,7 @@ class Stream:
     """Single-consumer iterator of one kind of item, with a position counter.
 
     `kind` is "rational" (positive rationals, no check), "decimal"
-    (fractional digits d_1, d_2, ... in 0..9 after `integer_part`) or
+    (fractional digits d_1, d_2, ... in 0..9) or
     "cf" (partial quotients a_0 >= 0, a_1, ... >= 1). `take(n)` pulls a
     run of up to n items and checks it once; a run that fails is not
     handed out and leaves the position where it was. `next()` does the
@@ -105,26 +105,16 @@ class Stream:
     has no `entry` attribute.
     """
 
-    __slots__ = ("_items", "kind", "first_index", "_check", "description", "_at",
-                 "integer_part", "position")
+    __slots__ = ("_items", "kind", "first_index", "_check", "_at", "position")
 
-    def __init__(
-        self,
-        items: Iterable,
-        kind: str,
-        description: str = "",
-        at: Callable[[int], int] | None = None,
-        integer_part: int = 0,
-    ):
+    def __init__(self, items: Iterable, kind: str, at: Callable[[int], int] | None = None):
         try:
             self.first_index, self._check = KINDS[kind]
         except KeyError:
             raise DomainError(f"unknown kind: {kind!r}") from None
         self._items = iter(items)
         self.kind = kind
-        self.description = description
         self._at = at
-        self.integer_part = integer_part
         self.position = 0
 
     @property
@@ -157,7 +147,7 @@ class Stream:
         return run
 
     def __repr__(self) -> str:
-        return f"Stream({self.kind!r}, {self.description!r}, position={self.position})"
+        return f"Stream({self.kind!r}, position={self.position})"
 
 
 def calkin_wilf() -> Stream:
@@ -175,11 +165,11 @@ def calkin_wilf() -> Stream:
             p, q = x.numerator, x.denominator
             x = Fraction(q, 2 * (p // q) * q + q - p)
 
-    return Stream(gen(), "rational", "calkin-wilf")
+    return Stream(gen(), "rational")
 
 
 def digits_of(x: Rational) -> Stream:
-    """Decimal digit stream of x >= 0; trailing zeros run forever.
+    """The fractional decimal digits of x >= 0; trailing zeros run forever.
 
     The walk is long division in blocks of 16, 32, ..., 256 digits, so
     `take(k)` costs O(log k + k/256) Python steps and divides out at most
@@ -203,17 +193,14 @@ def digits_of(x: Rational) -> Stream:
             yield block
             n = min(2 * n, _BLOCK)
 
-    return Stream(
-        itertools.chain.from_iterable(blocks()), "decimal", f"digits of {to_string(x)}",
-        at=partial(digit_at, x), integer_part=x.numerator // x.denominator,
-    )
+    return Stream(itertools.chain.from_iterable(blocks()), "decimal", at=partial(digit_at, x))
 
 
 def metallic(k: int) -> Stream:
     """[k; k, k, k, ...]; k = 1 is the golden ratio."""
     if k < 1:
         raise DomainError("metallic index must be >= 1")
-    return Stream(itertools.repeat(k), "cf", f"metallic:{_digits_of_int(k)}", at=lambda _: k)
+    return Stream(itertools.repeat(k), "cf", at=lambda _: k)
 
 
 def _e_quotients() -> Iterator[int]:
@@ -247,21 +234,19 @@ def named_cf_stream(name: str) -> Stream:
     key = name.strip().lower()
     if key == "sqrt2":
         return Stream(
-            itertools.chain([1], itertools.repeat(2)), "cf", "sqrt2",
-            at=lambda k: 1 if k == 0 else 2,
+            itertools.chain([1], itertools.repeat(2)), "cf", at=lambda k: 1 if k == 0 else 2
         )
     if key == "e":
-        return Stream(_e_quotients(), "cf", "e", at=_e_quotient)
+        return Stream(_e_quotients(), "cf", at=_e_quotient)
     if key == "phi":
-        return Stream(itertools.repeat(1), "cf", "phi", at=lambda _: 1)
+        return metallic(1)
     if key == "pi":
-        return Stream(map(_pi_quotient, itertools.count()), "cf", "pi", at=_pi_quotient)
+        return Stream(map(_pi_quotient, itertools.count()), "cf", at=_pi_quotient)
     if key.startswith("metallic:"):
-        try:
-            k = int(key.split(":", 1)[1])
-        except ValueError:
-            raise DomainError(f"invalid metallic index in {name!r}") from None
-        return metallic(k)
+        index = key.removeprefix("metallic:")
+        if not _is_digits(index):
+            raise DomainError(f"invalid metallic index in {name!r}")
+        return metallic(_int_from_digits(index))
     raise DomainError(f"unknown stream name: {name!r}")
 
 

@@ -9,7 +9,6 @@ and the textual form used by the CLI.
 
 from __future__ import annotations
 
-import re
 import sys
 from fractions import Fraction
 
@@ -19,11 +18,15 @@ __all__ = ("Rational", "make_rational", "parse_rational", "to_string")
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
-
 # CPython 3.10.7+ converts int/str of at most sys.get_int_max_str_digits()
 # digits (0: no limit; never set below this threshold); longer go in halves
 _UNCHECKED_DIGITS = getattr(sys.int_info, "str_digits_check_threshold", float("inf"))
+
+
+def _is_digits(s: str) -> bool:
+    """A nonempty run of ASCII digits, the digit rule of every literal parsed
+    here; int() also takes "+3", " 3", "1_0" and other scripts' digits."""
+    return s.isascii() and s.isdigit()
 
 
 def _int_from_digits(s: str) -> int:
@@ -70,8 +73,7 @@ def to_string(x: Rational) -> str:
 
 def parse_rational(text: str) -> Rational:
     """Parse "p", "-p" or "p/q"; digit strings may be arbitrarily long."""
-    s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    num, slash, den = text.strip().partition("/")
+    if not (_is_digits(num.removeprefix("-")) and (not slash or _is_digits(den))):
         raise DomainError(f"invalid rational literal: {text!r}")
-    num, _, den = s.partition("/")
     return make_rational(_int_from_digits(num), _int_from_digits(den or "1"))

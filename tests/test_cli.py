@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diagcf.cli import MAX_EXPONENT, run
 from diagcf.decimal_expansion import MAX_DIGITS
@@ -243,6 +246,19 @@ class TestApprox:
             f"exceeds {MAX_EXPONENT} in magnitude\n"
         )
 
+    def test_exponent_run_past_the_int_string_limit(self, capsys):
+        # decided by the run's length; str() of the exponent would fail
+        literal = "1e" + "9" * 5000
+        code, out, err = invoke(capsys, "approx", "compare", literal, "1", "1")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: exponent {'9' * 5000} of {literal!r} exceeds {MAX_EXPONENT} in magnitude\n"
+        )
+
+    def test_exponent_run_of_leading_zeros(self, capsys):
+        code, out, err = invoke(capsys, "approx", "compare", "1e" + "0" * 5000 + "5", "0", "0")
+        assert (code, out, err) == (0, "cf error: 100000\ndecimal error: 100000\ncloser: tie\n", "")
+
     def test_exponent_at_the_bound(self, capsys):
         code, out, err = invoke(capsys, "approx", "compare", f"1e-{MAX_EXPONENT}", "0", "0")
         assert (code, err) == (0, "")
@@ -283,6 +299,11 @@ class TestErrorsAndExitCodes:
         code, _, err = invoke(capsys, "cf", "to-rational", "[1; x]")
         assert code == 1
         assert "invalid continued fraction literal" in err
+
+    def test_cf_terms_are_ascii_digit_runs(self, capsys):
+        code, out, err = invoke(capsys, "cf", "to-rational", "[1_0; 2]")
+        assert (code, out) == (1, "")
+        assert err == "error: invalid continued fraction literal: '[1_0; 2]'\n"
 
     def test_pi_convergents_beyond_table(self, capsys):
         code, _, err = invoke(capsys, "cf", "convergents", "pi", "--count", "60")
@@ -340,6 +361,37 @@ class TestErrorsAndExitCodes:
         code, out, _ = invoke(capsys, "--help")
         assert code == 0
         assert "usage" in out.lower()
+
+
+# Literals from ASCII and Arabic-Indic digits, the grammar's punctuation and
+# the stream names, fed to the commands that only parse and convert them.
+# `decimal` and `diag` stay out: a short literal can still start seconds of
+# work there (`decimal period 1/1000000000039`).
+fuzz_literals = st.lists(
+    st.one_of(
+        st.text("0123456789", min_size=1, max_size=6),
+        st.text("".join(map(chr, range(0x660, 0x66A))), min_size=1, max_size=3),
+        st.sampled_from([*"_+-/.eE[];, ", "sqrt2", "e", "phi", "pi", "metallic:"]),
+    ),
+    max_size=8,
+).map("".join)
+fuzz_argv = st.one_of(
+    st.tuples(st.sampled_from(["from-rational", "to-rational", "convergents"]), fuzz_literals)
+    .map(lambda t: ["cf", *t]),
+    st.lists(fuzz_literals, min_size=3, max_size=3).map(lambda t: ["approx", "compare", *t]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_argv)
+def test_literal_commands_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    # argparse writes help and usage errors to sys.stdout and sys.stderr
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv, stdout=out, stderr=err)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 # Every README example, each diagonal at three depths in both formats, and

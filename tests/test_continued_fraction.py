@@ -9,6 +9,7 @@ from diagcf import (
     ContinuedFraction,
     DomainError,
     RangeError,
+    Stream,
     approximation_compare,
     canonicalize,
     convergents,
@@ -344,6 +345,37 @@ class TestApproximationCompare:
         assert report.closer == "decimal"
 
 
+# the public entries that take partial quotients from outside the package
+TERM_ENTRIES = {
+    "ContinuedFraction": ContinuedFraction,
+    "to_rational": to_rational,
+    "canonicalize": canonicalize,
+    "to_plain_string": to_plain_string,
+    "fractional_digit_budget": fractional_digit_budget,
+    "parse_cf": lambda terms: parse_cf(" ".join(map(repr, terms))),
+}
+# convergents needs a count >= 1, so it takes no empty source
+CONVERGENT_SOURCES = {
+    "tuple": tuple,
+    "iterator": iter,
+    "stream": lambda terms: Stream(iter(terms), "cf"),
+}
+BAD_TERMS = [[-1], [1, 0], [1.5], ["2"], [Fraction(3)]]
+
+
+@pytest.mark.parametrize(
+    "entry, terms",
+    [pytest.param(entry, terms, id=f"{name}-{terms!r}")
+     for name, entry in TERM_ENTRIES.items() for terms in [[], *BAD_TERMS]]
+    + [pytest.param(lambda ts, source=source: convergents(source(ts), len(ts)), terms,
+                    id=f"convergents-{name}-{terms!r}")
+       for name, source in CONVERGENT_SOURCES.items() for terms in BAD_TERMS],
+)
+def test_public_entries_refuse_bad_terms(entry, terms):
+    with pytest.raises(DomainError):
+        entry(terms)
+
+
 class TestTextForms:
     def test_bracket_round_trip(self):
         for text in ("[0; 1, 6]", "[5]", "[3; 7, 15, 1]"):
@@ -359,7 +391,9 @@ class TestTextForms:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "[", "[1; 2", "3,7", "[1; 2,]x", "[a]", "[1; b]", "[; 1, 2]", "[1; 2,, 3]", "[1; 2, 3,]"],
+        ["", "[", "[1; 2", "3,7", "[1; 2,]x", "[a]", "[1; b]", "[; 1, 2]", "[1; 2,, 3]", "[1; 2, 3,]",
+         # int() takes each term below; the literal takes only ASCII digit runs
+         "[1_0; 2]", "[+3; 2]", "[ -0; 2]", "[\N{ARABIC-INDIC DIGIT ONE}0; 2]"],
     )
     def test_rejects(self, bad):
         with pytest.raises(DomainError):
@@ -378,7 +412,8 @@ class TestTextForms:
         # split in halves at the space, "1...1 2...2" would parse as one number
         with pytest.raises(DomainError, match="invalid continued fraction literal"):
             parse_cf("[0; " + "1" * 2500 + " " + "2" * 2500 + "]")
-        assert parse_cf("[+3; 1_0]").terms == (3, 10)  # short parts still go to int()
+        with pytest.raises(DomainError, match="invalid continued fraction literal"):
+            parse_cf("[+3; 1_0]")  # short parts pass the same digit rule
 
     @given(term_lists)
     def test_parse_formats_round_trip(self, terms):

@@ -571,7 +571,10 @@ class TestTextForm:
         assert parse_expansion(str(e)) == e
         assert parse_expansion("1" + "0" * 5000 + ".(0)") == DecimalExpansion(10**5000, "", "0")
 
-    @pytest.mark.parametrize("bad", ["0.23", "0.23()", "abc", "0.2(3", "-1.(3)", "0.2(3)4"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["0.23", "0.23()", "abc", "0.2(3", "-1.(3)", "0.2(3)4", "\N{ARABIC-INDIC DIGIT ONE}.(3)"],
+    )
     def test_rejects(self, bad):
         with pytest.raises(DomainError):
             parse_expansion(bad)

@@ -79,9 +79,9 @@ class TestDigitsOf:
         assert digits_of(Fraction(129, 550)).take(6) == [2, 3, 4, 5, 4, 5]
 
     def test_integer_part(self):
+        # the row holds the fractional digits only: 22/7 and 1/7 share them
         s = digits_of(Fraction(22, 7))
-        assert s.integer_part == 3
-        assert s.take(6) == [1, 4, 2, 8, 5, 7]
+        assert s.take(6) == [1, 4, 2, 8, 5, 7] == digits_of(Fraction(1, 7)).take(6)
 
     def test_matches_digit_at_and_expansion(self):
         import random
@@ -286,9 +286,21 @@ class TestNamedStreams:
         with pytest.raises(DomainError):
             metallic(0)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["metallic:+3", "metallic:1_0", "metallic: 3 ", "metallic:\N{ARABIC-INDIC DIGIT THREE}"],
+    )
+    def test_metallic_index_is_an_ascii_digit_run(self, name):
+        with pytest.raises(DomainError, match="^invalid metallic index in "):
+            named_cf_stream(name)
+
+    def test_metallic_index_past_the_int_string_limit(self):
+        ones = (10**5000 - 1) // 9
+        assert named_cf_stream("metallic:" + "1" * 5000).entry(7) == ones
+
     def test_metallic_past_the_int_string_limit(self):
         s = metallic(10**5000)
-        assert s.description == "metallic:1" + "0" * 5000
+        assert repr(s) == "Stream('cf', position=0)"
         assert s.entry(3) == 10**5000
 
     def test_stream_invariants_enforced(self):
@@ -425,12 +437,10 @@ class TestStream:
 
     def test_descriptions_and_reprs(self):
         sevenths, third = digits_of(Fraction(1, 7)), metallic(3)
-        assert sevenths.description == "digits of 1/7"
-        assert repr(sevenths) == "Stream('decimal', 'digits of 1/7', position=0)"
-        assert third.description == "metallic:3"
-        assert repr(third) == "Stream('cf', 'metallic:3', position=0)"
+        assert repr(sevenths) == "Stream('decimal', position=0)"
+        assert repr(third) == "Stream('cf', position=0)"
         sevenths.take(3)
-        assert repr(sevenths) == "Stream('decimal', 'digits of 1/7', position=3)"
+        assert repr(sevenths) == "Stream('decimal', position=3)"
         assert not hasattr(sevenths, "__dict__")  # slotted
 
     def test_numpy_digits_refused(self):

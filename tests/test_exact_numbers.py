@@ -64,7 +64,9 @@ def test_parse_rational():
     assert parse_rational(f"{big}/{'3' * 60}") == Fraction(int(big), int("3" * 60))
 
 
-@pytest.mark.parametrize("bad", ["", "1/", "/2", "4/-6", "1.5", "a", "1 / 2", "+5"])
+@pytest.mark.parametrize(
+    "bad", ["", "1/", "/2", "4/-6", "1.5", "a", "1 / 2", "+5", "\N{ARABIC-INDIC DIGIT ONE}0"]
+)
 def test_parse_rational_rejects(bad):
     with pytest.raises(DomainError):
         parse_rational(bad)

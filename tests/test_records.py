@@ -119,6 +119,18 @@ def test_digit_blocks_are_ascii_digits(block):
         DecimalExpansion(0, "", block)
 
 
+@pytest.mark.parametrize("whole", [1.5, "2", None, Fraction(3)], ids=repr)
+def test_integer_part_is_an_integer(whole):
+    with pytest.raises(DomainError) as caught:
+        DecimalExpansion(whole, "", "3")
+    assert str(caught.value) == f"integer part must be an integer, got {whole!r}"
+
+
+def test_integer_part_is_converted_by_index():
+    e = DecimalExpansion(True, "", "3")
+    assert (str(e), type(e.integer_part)) == ("1.(3)", int)
+
+
 def test_each_public_name_is_listed_by_exactly_one_module():
     listed = [name for module in MODULES for name in getattr(diagcf, module).__all__]
     assert len(listed) == len(set(listed))
