@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import DomainError, RangeError
 from .exact_numbers import Rational, _digits_of_int, _int_from_digits, _is_digits
@@ -30,14 +30,32 @@ __all__ = (
 )
 
 
+def _check_quotients(index: int, run: Sequence[int]) -> None:
+    # the one quotient rule, for the terms here and for cf rows: integers,
+    # a_0 >= 0 and a_k >= 1 after it; `index` is the index of run[0]
+    try:  # a sum of ints is an int, in one C pass; numpy ints may overflow it
+        whole = type(sum(run)) is int
+    except (TypeError, OverflowError, RuntimeWarning):
+        whole = False
+    if not whole:
+        a = next(a for a in run if not isinstance(a, int))
+        raise DomainError(f"partial quotient must be an integer, got {a!r}")
+    if min(run, default=1) >= 1:  # every quotient >= 1: nothing left to find
+        return
+    if index == 0 and run and run[0] < 0:
+        raise DomainError(f"first partial quotient must be >= 0, got {run[0]:d}")
+    if min(itertools.islice(run, 1 if index == 0 else 0, None), default=1) < 1:
+        k, a = next((k, a) for k, a in enumerate(run, index) if k > 0 and a < 1)
+        raise DomainError(f"partial quotient at index {k} must be >= 1, got {a:d}")
+
+
 def _quotients(items: Iterable[int]) -> tuple[int, ...]:
-    # the one quotient rule: integers, a_0 >= 0 and a_k >= 1 after it
+    # the terms as plain ints, under the quotient rule
     try:
         ts = tuple(map(operator.index, items))
     except TypeError:
         raise DomainError("partial quotients must be integers") from None
-    if ts and (ts[0] < 0 or min(ts[1:], default=1) < 1):
-        raise DomainError("invalid partial quotient")
+    _check_quotients(0, ts)
     return ts
 
 

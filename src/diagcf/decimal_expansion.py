@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -34,8 +33,6 @@ __all__ = (
     "period_length", "period_length_by_order", "reconstruct",
 )
 
-_EXPANSION_RE = re.compile(r"^([0-9]+)\.([0-9]*)\(([0-9]+)\)$")
-
 # the most digits, preperiod plus one period, that `expand` divides out
 # and `period_length` walks; 1/10000019, whose period has 10000018, fits
 MAX_DIGITS = 2 * 10**7
@@ -44,7 +41,7 @@ MAX_DIGITS = 2 * 10**7
 # `enumeration.digits_of`: str() of a block is quadratic in its length,
 # and 256 measured faster than 64, 128 or 1024 on the period of 1/1000003
 _BLOCK = 256
-_SCALES = {k: 10**k for k in (16, 32, 64, 128, _BLOCK)}  # the block sizes of a digits_of walk
+_SCALE = 10**_BLOCK
 
 
 class DecimalExpansion(tuple):
@@ -112,7 +109,7 @@ def expand(x: Rational) -> DecimalExpansion:
     blocks = []
     for start in range(0, n, _BLOCK):
         k = min(_BLOCK, n - start)
-        block, rem = divmod(rem * (_SCALES[_BLOCK] if k == _BLOCK else 10**k), den)
+        block, rem = divmod(rem * (_SCALE if k == _BLOCK else 10**k), den)
         blocks.append(str(block).zfill(k))
     digits = "".join(blocks)
     return DecimalExpansion(whole, digits[:mu], digits[mu:])
@@ -254,8 +251,9 @@ def find_period_at_least(min_length: int) -> Rational:
 
 
 def parse_expansion(text: str) -> DecimalExpansion:
-    """Parse the "w.uu(vv)" form, e.g. "0.23(45)" or "5.(0)"."""
-    m = _EXPANSION_RE.match(text.strip())
-    if not m:
+    """Parse "w.uu(vv)", e.g. "0.23(45)" or "5.(0)"; `DecimalExpansion` checks uu and vv."""
+    whole, dot, rest = text.strip().partition(".")
+    preperiod, paren, period = rest.partition("(")
+    if not (dot and paren and period.endswith(")") and _is_digits(whole)):
         raise DomainError(f"invalid expansion literal: {text!r}")
-    return DecimalExpansion(_int_from_digits(m.group(1)), m.group(2), m.group(3))
+    return DecimalExpansion(_int_from_digits(whole), preperiod, period[:-1])

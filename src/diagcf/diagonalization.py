@@ -210,8 +210,8 @@ def verify_differs(constructed, rows: Sequence, depth: int, kind: str | None = N
     decimal rows item 0 is position 1; for cf rows item 0 is a_00).
     Rows are walked, never read through `entry`, so this stays independent
     of the construction; pass fresh streams. The walk is O(depth^2) items,
-    but `digits_of` rows hand out their digits up to 256 at a time, so it
-    takes only O(depth log depth + depth^2/256) Python steps over them.
+    but `digits_of` rows hand out their digits 256 at a time, so it takes
+    only O(depth + depth^2/256) Python steps over them.
     Returns the first failing position as the counterexample; depth 0 is
     vacuously true.
     """

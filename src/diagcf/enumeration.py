@@ -12,9 +12,8 @@ also answer `entry(k)`: item k computed directly, in O(log k) for a
 rational's digits and O(1) for the named quotient streams, without
 moving the position. Streams built from a bare iterable have no
 `entry` and can only be walked. A rational's digits are walked by long
-division a block of up to 256 digits at a time, so walking k digits
-takes O(log k + k/256) Python steps; `take` moves the digits themselves
-in C.
+division 256 digits at a time, so walking k digits takes O(1 + k/256)
+Python steps; `take` moves the digits themselves in C.
 """
 
 from __future__ import annotations
@@ -24,7 +23,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .decimal_expansion import _BLOCK, _SCALES, digit_at
+from .continued_fraction import _check_quotients
+from .decimal_expansion import _BLOCK, _SCALE, digit_at
 from .errors import DomainError, RangeError
 from .exact_numbers import Rational, _int_from_digits, _is_digits
 
@@ -62,24 +62,6 @@ def _check_digits(index: int, run: Sequence[int]) -> None:
     if not isinstance(bad, int):
         raise DomainError(f"digit must be an integer, got {bad!r}")
     raise DomainError(f"digit out of range: {bad}")
-
-
-def _check_quotients(index: int, run: Sequence[int]) -> None:
-    # integers, a_0 >= 0 and a_k >= 1 after it; `index` is the index of run[0]
-    try:  # a sum of ints is an int, in one C pass; numpy ints may overflow it
-        whole = type(sum(run)) is int
-    except (TypeError, OverflowError, RuntimeWarning):
-        whole = False
-    if not whole:
-        a = next(a for a in run if not isinstance(a, int))
-        raise DomainError(f"partial quotient must be an integer, got {a!r}")
-    if min(run, default=1) >= 1:  # every quotient >= 1: nothing left to find
-        return
-    if index == 0 and run and run[0] < 0:
-        raise DomainError(f"first partial quotient must be >= 0, got {run[0]}")
-    if min(itertools.islice(run, 1 if index == 0 else 0, None), default=1) < 1:
-        k, a = next((k, a) for k, a in enumerate(run, index) if k > 0 and a < 1)
-        raise DomainError(f"partial quotient at index {k} must be >= 1, got {a}")
 
 
 # per kind: the index of the first item, and the check every run passes
@@ -171,27 +153,26 @@ def calkin_wilf() -> Stream:
 def digits_of(x: Rational) -> Stream:
     """The fractional decimal digits of x >= 0; trailing zeros run forever.
 
-    The walk is long division in blocks of 16, 32, ..., 256 digits, so
-    `take(k)` costs O(log k + k/256) Python steps and divides out at most
-    2k + 16 digits: nothing runs ahead of what is pulled. `entry(k)` is
-    `digit_at`'s modular power, independent of the walk.
+    The walk is long division in blocks of 256 digits, so a first
+    `take(k)` costs O(1 + k/256) Python steps and divides out exactly
+    256 * ceil(k/256) digits: no block starts before a digit of it is
+    pulled. `entry(k)` is `digit_at`'s modular power, independent of
+    the walk.
     """
     if x.numerator < 0:
         raise DomainError("negative input")
 
     def blocks() -> Iterator[bytes]:
-        # long division n digits at a time, n = 16, 32, ..., _BLOCK: a run of
-        # k digits divides out at most 2k + 16, and `take` moves them in C.
-        # `expand` divides a count known in advance; a generator shared with
-        # it slowed the diagonal workload, which makes and walks hundreds of
-        # rows per op. The block's quotient is dropped before the yield, so
-        # the frame holds no big int between pulls
-        rem, den, n = x.numerator % x.denominator, x.denominator, 16
+        # long division _BLOCK digits at a time, which `take` moves in C.
+        # `expand` divides a count known in advance, the last block short;
+        # a generator shared with it made small expansions slower. The
+        # block's quotient is dropped before the yield, so the frame holds
+        # no big int between pulls
+        rem, den = x.numerator % x.denominator, x.denominator
         while True:
-            block, rem = divmod(rem * _SCALES[n], den)
-            block = str(block).zfill(n).encode().translate(_DIGIT_VALUES)
+            block, rem = divmod(rem * _SCALE, den)
+            block = str(block).zfill(_BLOCK).encode().translate(_DIGIT_VALUES)
             yield block
-            n = min(2 * n, _BLOCK)
 
     return Stream(itertools.chain.from_iterable(blocks()), "decimal", at=partial(digit_at, x))
 

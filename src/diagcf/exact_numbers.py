@@ -46,10 +46,10 @@ def _int_from_digits(s: str) -> int:
 
 
 def _digits_of_int(n: int) -> str:
-    """str(n) for an int of any size."""
+    """The digits of an int of any size; a bool prints as 0 or 1."""
     bits = n.bit_length()  # a digit carries 3.32 bits
     if bits < 3 * _UNCHECKED_DIGITS or bits <= 3 * (sys.get_int_max_str_digits() or bits):
-        return str(n)
+        return int.__repr__(n)
     if n < 0:
         return "-" + _digits_of_int(-n)
     low = bits * 3 // 20  # about half the digits

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from diagcf import (
     to_plain_string,
     to_rational,
 )
+from diagcf import continued_fraction, enumeration
 
 positive_rationals = st.builds(
     Fraction, st.integers(1, 1000), st.integers(1, 1000)
@@ -71,11 +73,11 @@ class TestContinuedFractionType:
     def test_rejects_bad_terms(self):
         with pytest.raises(DomainError):
             ContinuedFraction(())
-        with pytest.raises(DomainError, match="invalid partial quotient"):
+        with pytest.raises(DomainError, match="^first partial quotient must be >= 0, got -1$"):
             ContinuedFraction((-1, 2))
-        with pytest.raises(DomainError, match="invalid partial quotient"):
+        with pytest.raises(DomainError, match="^partial quotient at index 1 must be >= 1, got 0$"):
             ContinuedFraction((1, 0))
-        with pytest.raises(DomainError, match="invalid partial quotient"):
+        with pytest.raises(DomainError, match="^partial quotient at index 2 must be >= 1, got 0$"):
             ContinuedFraction((1, 2, 0))
 
     def test_rejects_non_integer_terms(self):
@@ -126,7 +128,7 @@ class TestToRational:
         assert to_rational(ContinuedFraction((0, 1, 6))) == Fraction(6, 7)
 
     def test_trailing_zero_rejected(self):
-        with pytest.raises(DomainError, match="invalid partial quotient"):
+        with pytest.raises(DomainError, match="^partial quotient at index 2 must be >= 1, got 0$"):
             to_rational([1, 2, 0])
 
     @given(term_lists)
@@ -192,9 +194,9 @@ class TestConvergents:
 
     def test_plain_list_obeys_the_quotient_rule(self):
         # these ended in ZeroDivisionError and in the value -1
-        with pytest.raises(DomainError, match="invalid partial quotient"):
+        with pytest.raises(DomainError, match="^partial quotient at index 1 must be >= 1, got 0$"):
             convergents([1, 0, 2], 3)
-        with pytest.raises(DomainError, match="invalid partial quotient"):
+        with pytest.raises(DomainError, match="^partial quotient at index 1 must be >= 1, got -1$"):
             convergents([0, -1], 2)
         with pytest.raises(DomainError, match="must be integers"):
             convergents([1, 2.5], 2)
@@ -374,6 +376,24 @@ BAD_TERMS = [[-1], [1, 0], [1.5], ["2"], [Fraction(3)]]
 def test_public_entries_refuse_bad_terms(entry, terms):
     with pytest.raises(DomainError):
         entry(terms)
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [([1, 0], "partial quotient at index 1 must be >= 1, got 0"),
+     ([-1], "first partial quotient must be >= 0, got -1"),
+     ([1, False], "partial quotient at index 1 must be >= 1, got 0")],
+)
+def test_one_quotient_rule_with_one_message(terms, message):
+    # cf rows check their runs with the rule that ContinuedFraction applies
+    assert enumeration.KINDS["cf"][1] is continued_fraction._check_quotients
+    refusals = [ContinuedFraction, lambda ts: Stream(iter(ts), "cf").take(len(ts))] + [
+        lambda ts, source=source: convergents(source(ts), len(ts))
+        for source in CONVERGENT_SOURCES.values()
+    ]
+    for entry in refusals:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            entry(terms)
 
 
 class TestTextForms:

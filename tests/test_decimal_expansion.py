@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import subprocess
 import sys
 import time
@@ -8,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import diagcf.decimal_expansion
 from diagcf import (
@@ -108,8 +109,9 @@ class TestExpand:
         assert str(expand(Fraction(5))) == "5.(0)"
 
     def test_negative_rejected(self):
-        with pytest.raises(DomainError, match="negative"):
-            expand(Fraction(-1, 3))
+        for refuse in (expand, period_length):
+            with pytest.raises(DomainError, match="^negative input$"):
+                refuse(Fraction(-1, 3))
 
     def test_round_trip_small(self):
         rng = random.Random(31)
@@ -557,6 +559,38 @@ class TestFindPeriodAtLeast:
             find_period_at_least(limit + 1)
 
 
+# the expansion literal's grammar as one regex, the form parse_expansion
+# had before it split the text itself; kept as the reference
+EXPANSION_RE = re.compile(r"^([0-9]+)\.([0-9]*)\(([0-9]+)\)$")
+
+
+def parse_by_regex(text):
+    m = EXPANSION_RE.match(text.strip())
+    if not m:
+        raise DomainError(f"invalid expansion literal: {text!r}")
+    return DecimalExpansion(int(m.group(1)), m.group(2), m.group(3))
+
+
+def parsed_or_refused(parse, text):
+    try:
+        return parse(text)
+    except DomainError:
+        return None
+
+
+# texts over the literal's own characters and a few it must refuse, and
+# texts shaped "w.u(v)" from such pieces, so that many parse
+LITERAL_CHARS = "0129.() \n+-_\N{ARABIC-INDIC DIGIT ONE}"
+literal_pieces = st.text(LITERAL_CHARS, max_size=4) | st.text("0129", max_size=4)
+expansion_texts = st.one_of(
+    st.text(LITERAL_CHARS, max_size=12),
+    st.builds(
+        lambda w, u, v, tail: f"{w}.{u}({v}){tail}",
+        literal_pieces, literal_pieces, literal_pieces, st.sampled_from(["", ")", " ", "\n", "x"]),
+    ),
+)
+
+
 class TestTextForm:
     def test_round_trip(self):
         for text in ("0.23(45)", "5.(0)", "0.(3)", "3.(142857)"):
@@ -578,3 +612,12 @@ class TestTextForm:
     def test_rejects(self, bad):
         with pytest.raises(DomainError):
             parse_expansion(bad)
+
+    @settings(max_examples=1000)
+    @given(expansion_texts)
+    @example("0.(9)")
+    @example(" 12.(0) ")
+    @example("1.2(3))")
+    @example("1..(3)")
+    def test_accepts_what_the_regex_grammar_accepts(self, text):
+        assert parsed_or_refused(parse_expansion, text) == parsed_or_refused(parse_by_regex, text)

@@ -287,6 +287,8 @@ class TestVerifyDiffers:
 
     def test_depth_zero_is_vacuous(self):
         assert verify_differs([], [], 0) == (True, None)
+        with pytest.raises(DomainError, match="^depth must be >= 0$"):
+            verify_differs([], [], -1)
 
     def test_plain_cf_prefix(self):
         # entries [a_00, a_01, ...]; metallic rows have a_kk = k
@@ -305,6 +307,8 @@ class TestVerifyDiffers:
             verify_differs([1, 2], [[3], [4, 5]], 2)
         ok, _ = verify_differs([1, 2], [[3], [4, 5]], 2, kind="decimal")
         assert ok
+        with pytest.raises(DomainError, match="^unknown kind: 'x'$"):
+            verify_differs([1, 2], [[3], [4, 5]], 2, kind="x")
 
 
 class TestCFDiagonalOverRationals:
@@ -399,6 +403,11 @@ class TestFormatWitnesses:
         lines = text.split("\n")
         assert lines[0] == "     k      d_kk      d_0k  differs"
         assert lines[1] == "     1         0         5  yes"
+        # rows keep bool items as given; the table prints them as digits
+        text = format_witnesses(decimal_diagonal([[True]], 1).witnesses)
+        assert text.split("\n")[1] == "     1         1         5  yes"
+        text = format_witnesses(cf_diagonal([[0, True]], 1).witnesses, "cf")
+        assert text.split("\n")[1] == "     1         1         2  yes"
 
     def test_cf_labels(self):
         result = cf_diagonal(irrational_enumeration(2), 2)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagcf import enumeration
+from diagcf import continued_fraction, enumeration
 from diagcf import (
     PI_PARTIAL_QUOTIENTS,
     DomainError,
@@ -135,9 +135,9 @@ def long_division(x):
         rem %= den
 
 
-# digits_of divides out blocks of 16, 32, ..., 1024 digits; a run ending at,
-# before or after one of these totals starts, ends or straddles a block
-BLOCK_EDGES = tuple(itertools.accumulate([16, 32, 64, 128, 256, 512, 1024, 1024]))
+# digits_of divides out blocks of 256 digits; a run ending at, before or
+# after a multiple of 256 starts, ends or straddles a block
+BLOCK_EDGES = tuple(range(256, 3073, 256))
 # 2q + 1 with q = 10^30 + 271 prime, and 10 a primitive root: the period of
 # 1/SAFE_PRIME has 2q digits, so a walk that finds the period first never ends
 SAFE_PRIME = 2 * (10**30 + 271) + 1
@@ -190,8 +190,8 @@ class TestBlockWalk:
     def test_runs_ending_at_every_block_edge(self, x, shift):
         self.check_runs(x, [e + shift for e in BLOCK_EDGES])
 
-    def test_division_work_stays_within_twice_the_run(self, monkeypatch):
-        # for 1/3 every remainder is 1, so each block divides 10**n by 3
+    def test_division_work_is_the_run_in_whole_blocks(self, monkeypatch):
+        # for 1/3 every remainder is 1, so each block divides 10**256 by 3
         divided = []
 
         def spy(a, b):
@@ -202,7 +202,7 @@ class TestBlockWalk:
         for k in range(0, 5000, 7):
             divided.clear()
             assert digits_of(Fraction(1, 3)).take(k) == [3] * k
-            assert sum(divided) <= 2 * k + 16
+            assert sum(divided) == 256 * math.ceil(k / 256)
 
     def test_first_digits_of_a_long_period_come_at_once(self):
         assert pow(10, SAFE_PRIME // 2, SAFE_PRIME) == SAFE_PRIME - 1  # 10 is a non-residue
@@ -502,9 +502,9 @@ def reference_quotient_error(index, run):
             return f"partial quotient must be an integer, got {a!r}"
     for k, a in enumerate(run, index):
         if k == 0 and a < 0:
-            return f"first partial quotient must be >= 0, got {a}"
+            return f"first partial quotient must be >= 0, got {int(a)}"
         if k > 0 and a < 1:
-            return f"partial quotient at index {k} must be >= 1, got {a}"
+            return f"partial quotient at index {k} must be >= 1, got {int(a)}"
     return None
 
 
@@ -549,7 +549,7 @@ def test_digit_check_matches_the_item_rule(index, run):
 @given(st.sampled_from([0, 1, 2, 77]), quotient_runs)
 def test_quotient_check_matches_the_item_rule(index, run):
     assert (
-        check_error(enumeration._check_quotients, index, run)
+        check_error(continued_fraction._check_quotients, index, run)
         == reference_quotient_error(index, run)
     )
 

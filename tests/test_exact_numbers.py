@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from diagcf import exact_numbers
 from diagcf import (
     ContinuedFraction,
     DomainError,
@@ -86,6 +87,9 @@ def test_parse_rational_past_the_int_string_limit():
     sevens = (10**5000 - 1) // 9 * 7  # 5000 sevens, built without int(str)
     assert parse_rational("1/" + "7" * 5000) == Fraction(1, sevens)
     assert parse_rational("-" + "7" * 5000) == -sevens
+    # past the limit the halves must be plain digits, or "1...1 2...2" joins
+    with pytest.raises(ValueError, match="^invalid literal for "):
+        exact_numbers._int_from_digits("1" * 2500 + " " + "2" * 2500)
 
 
 @pytest.mark.parametrize(
