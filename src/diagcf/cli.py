@@ -23,7 +23,7 @@ from .continued_fraction import (
     to_rational,
 )
 from .decimal_expansion import (
-    expand, find_period_at_least, period_length, period_length_by_order,
+    _period_report, expand, find_period_at_least, period_length_by_order,
 )
 from .diagonalization import (
     cf_diagonal,
@@ -227,7 +227,7 @@ def _decimal_expand(args) -> list[str]:
 
 
 def _decimal_period(args) -> list[str]:
-    report = period_length(parse_rational(args.value))
+    report = _period_report(parse_rational(args.value))
     if report.terminating:
         return [f"terminating (preperiod {report.preperiod_length}, period 0)"]
     return [f"period length {report.period_length} (preperiod {report.preperiod_length})"]
@@ -241,7 +241,7 @@ def _decimal_find_period(args) -> list[str]:
 
 
 def _render_diagonal(result, fmt: str) -> list[str]:
-    table = format_witnesses(result.witnesses, result.kind, fmt)
+    table = format_witnesses(result, fmt)
     return [f"constructed: {result}", *table.split("\n")]
 
 

@@ -101,7 +101,9 @@ CFLike = Union[ContinuedFraction, Iterable[int]]
 
 
 def _euclid(num: int, den: int) -> Iterator[int]:
-    # the quotients of Euclid's gcd algorithm on num/den, den >= 1
+    # the quotients of Euclid's gcd algorithm on num/den >= 0, den >= 1:
+    # plain ints, a_0 >= 0 and a_k >= 1 after it, so they pass the rule
+    num, den = operator.index(num), operator.index(den)
     while den:
         a, rem = divmod(num, den)
         yield a
@@ -117,7 +119,7 @@ def from_rational(x: Rational) -> ContinuedFraction:
     """
     if x.numerator < 0:
         raise DomainError("negative input")
-    return ContinuedFraction(_euclid(x.numerator, x.denominator))
+    return tuple.__new__(ContinuedFraction, _euclid(x.numerator, x.denominator))
 
 
 def to_rational(cf: CFLike) -> Rational:
@@ -133,9 +135,9 @@ def to_rational(cf: CFLike) -> Rational:
 def canonicalize(terms: CFLike) -> ContinuedFraction:
     """Merge a trailing 1 into its predecessor; the value is unchanged."""
     ts = ContinuedFraction(terms)
-    if len(ts) >= 2 and ts[-1] == 1:
-        ts = ts[:-2] + (ts[-2] + 1,)
-    return ContinuedFraction(ts)
+    if len(ts) >= 2 and ts[-1] == 1:  # a checked list stays valid when merged
+        return tuple.__new__(ContinuedFraction, ts[:-2] + (ts[-2] + 1,))
+    return ts
 
 
 def _convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int, int]]:
@@ -192,7 +194,7 @@ def from_real_approx(x, eps) -> ContinuedFraction:
         terms.append(a)
         if abs(tn * k - h * td) * ed <= en * td * k:
             break
-    return canonicalize(terms)
+    return canonicalize(tuple.__new__(ContinuedFraction, terms))
 
 
 def fractional_digit_budget(cf: CFLike) -> int:

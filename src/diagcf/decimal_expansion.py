@@ -97,10 +97,7 @@ def expand(x: Rational) -> DecimalExpansion:
     lambda instead, in O(mu + lambda) steps and under the same limit.
     A terminating x carries period "0", the digit after its preperiod.
     """
-    try:
-        lam, mu, _ = period_length_by_order(x)
-    except RangeError:  # rho found no factor within its budget
-        lam, mu, _ = period_length(x)
+    lam, mu, _ = _period_report(x)
     n = mu + lam
     if n > MAX_DIGITS:
         raise _over_the_limit(x)
@@ -113,6 +110,14 @@ def expand(x: Rational) -> DecimalExpansion:
         blocks.append(str(block).zfill(k))
     digits = "".join(blocks)
     return DecimalExpansion(whole, digits[:mu], digits[mu:])
+
+
+def _period_report(x: Rational) -> PeriodReport:
+    # the order of 10 where rho splits the denominator, else the walk
+    try:
+        return period_length_by_order(x)
+    except RangeError:  # rho found no factor within its budget
+        return period_length(x)
 
 
 def period_length(x: Rational) -> PeriodReport:

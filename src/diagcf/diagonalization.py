@@ -18,7 +18,7 @@ import itertools
 from typing import Iterable, NamedTuple, Sequence
 
 from .continued_fraction import ContinuedFraction, from_rational
-from .enumeration import KINDS, Stream, digits_of
+from .enumeration import Stream, digits_of
 from .errors import DomainError, InputError, RangeError
 from .exact_numbers import Rational, _digits_of_int
 
@@ -47,6 +47,7 @@ class DecimalDiagonalResult(NamedTuple):
     witnesses: tuple[DiagonalWitness, ...]
 
     kind = "decimal"
+    labels = ("d_kk", "d_0k")
 
     def entry(self, position: int) -> int:
         return self.digits[position - 1]
@@ -62,6 +63,7 @@ class CFDiagonalResult(NamedTuple):
     witnesses: tuple[DiagonalWitness, ...]
 
     kind = "cf"
+    labels = ("a_kk", "a_0k")
 
     def entry(self, position: int) -> int:
         return self.terms[position]
@@ -195,46 +197,27 @@ def cf_diagonal(rows: Sequence, depth: int) -> CFDiagonalResult:
     return CFDiagonalResult((0,) + terms, witnesses)  # a_00 = 0: reproducible
 
 
-def _infer_kind(constructed, rows) -> str:
-    if isinstance(constructed, (DecimalDiagonalResult, CFDiagonalResult)):
-        return constructed.kind
-    if rows and isinstance(rows[0], Stream) and rows[0].kind != "rational":
-        return rows[0].kind
-    raise InputError("cannot infer stream kind; pass kind='decimal' or kind='cf'")
+def verify_differs(constructed, rows: Sequence, depth: int) -> VerifyResult:
+    """Re-check that a diagonal result differs from row k at position k.
 
-
-def verify_differs(constructed, rows: Sequence, depth: int, kind: str | None = None) -> VerifyResult:
-    """Re-check that the built prefix differs from row k at position k.
-
-    `constructed` is a diagonal result or a plain entry sequence (for
-    decimal rows item 0 is position 1; for cf rows item 0 is a_00).
-    Rows are walked, never read through `entry`, so this stays independent
-    of the construction; pass fresh streams. The walk is O(depth^2) items,
-    but `digits_of` rows hand out their digits 256 at a time, so it takes
-    only O(depth + depth^2/256) Python steps over them.
-    Returns the first failing position as the counterexample; depth 0 is
-    vacuously true.
+    The result's kind is the rows' kind, and its `entry(k)` is compared
+    with row k's entry k. Rows are walked, never read through `entry`, so
+    this stays independent of the construction; pass fresh streams. The
+    walk is O(depth^2) items but only O(depth + depth^2/256) Python steps
+    over `digits_of` rows, which hand out 256 digits at a time. The first
+    failing position is the counterexample; depth 0 is vacuously true.
     """
+    if not isinstance(constructed, (DecimalDiagonalResult, CFDiagonalResult)):
+        raise InputError(f"constructed is not a diagonal result: {type(constructed).__name__}")
     if depth == 0:
         return VerifyResult(True, None)
     if depth < 0:
         raise DomainError("depth must be >= 0")
     rows = _enough_rows(rows, depth)
-    if kind is None:
-        kind = _infer_kind(constructed, rows)
-    if kind not in ("decimal", "cf"):
-        raise DomainError(f"unknown kind: {kind!r}")
-    if hasattr(constructed, "entry"):
-        built_at = constructed.entry
-    else:
-        seq = list(constructed)
-        first, _ = KINDS[kind]
-        def built_at(position: int) -> int:
-            return seq[position - first]
     for k in range(1, depth + 1):
-        row_entry = _nth_entry(_fresh_row(rows[k - 1], kind), k)
+        row_entry = _nth_entry(_fresh_row(rows[k - 1], constructed.kind), k)
         try:
-            built = built_at(k)
+            built = constructed.entry(k)
         except IndexError:
             raise InputError(f"constructed prefix has no entry for position {k}") from None
         if built == row_entry:
@@ -309,20 +292,14 @@ def rational_diagonal_analysis(
     return RationalDiagonalReport(depth, max_preperiod, max_period, diagonal, rulings)
 
 
-def format_witnesses(
-    witnesses: Sequence[DiagonalWitness], kind: str = "decimal", fmt: str = "table"
-) -> str:
-    """Witness table: aligned columns, or "k<TAB>diag<TAB>constructed" rows."""
-    if kind == "decimal":
-        diag_label, built_label = "d_kk", "d_0k"
-    elif kind == "cf":
-        diag_label, built_label = "a_kk", "a_0k"
-    else:
-        raise DomainError(f"unknown kind: {kind!r}")
+def format_witnesses(result, fmt: str = "table") -> str:
+    """A result's witness table, under its kind's labels: aligned columns, or
+    "k<TAB>diag<TAB>constructed" rows."""
     if fmt not in ("table", "tsv"):
         raise DomainError(f"unknown format: {fmt!r}")
+    diag_label, built_label = result.labels
     lines = [] if fmt == "tsv" else [f"{'k':>6}  {diag_label:>8}  {built_label:>8}  differs"]
-    for w in witnesses:
+    for w in result.witnesses:
         enumerated, constructed = map(_digits_of_int, (w.enumerated, w.constructed))
         if fmt == "tsv":
             lines.append(f"{w.position}\t{enumerated}\t{constructed}")

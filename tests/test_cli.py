@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diagcf import RangeError
 from diagcf.cli import MAX_EXPONENT, run
 from diagcf.decimal_expansion import MAX_DIGITS
 
@@ -102,6 +103,22 @@ class TestDecimal:
         code, out, _ = invoke(capsys, "decimal", "period", "1/8")
         assert code == 0
         assert out == "terminating (preperiod 3, period 0)\n"
+
+    def test_period_from_the_order_of_10(self, capsys):
+        # 10 has order (10^12 + 38) / 6 modulo the prime 10^12 + 39; the
+        # walk of the remainders refused this after MAX_DIGITS steps
+        code, out, _ = invoke(capsys, "decimal", "period", "1/1000000000039")
+        assert (code, out) == (0, "period length 166666666673 (preperiod 0)\n")
+
+    def test_period_from_long_division_where_rho_gives_up(self, capsys, monkeypatch):
+        import diagcf.decimal_expansion as decimal_expansion
+
+        def refuse(x):
+            raise RangeError("found no factor")
+
+        monkeypatch.setattr(decimal_expansion, "period_length_by_order", refuse)
+        code, out, _ = invoke(capsys, "decimal", "period", "169/550")
+        assert (code, out) == (0, "period length 2 (preperiod 2)\n")
 
     def test_find_period(self, capsys):
         code, out, _ = invoke(capsys, "decimal", "find-period", "6")
@@ -366,7 +383,7 @@ class TestErrorsAndExitCodes:
 # Literals from ASCII and Arabic-Indic digits, the grammar's punctuation and
 # the stream names, fed to the commands that only parse and convert them.
 # `decimal` and `diag` stay out: a short literal can still start seconds of
-# work there (`decimal period 1/1000000000039`).
+# work there (`decimal expand` of a product of two 20-digit primes).
 fuzz_literals = st.lists(
     st.one_of(
         st.text("0123456789", min_size=1, max_size=6),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diagcf import (
+    CFDiagonalResult,
     ContinuedFraction,
     DomainError,
     RangeError,
@@ -355,6 +356,9 @@ TERM_ENTRIES = {
     "to_plain_string": to_plain_string,
     "fractional_digit_budget": fractional_digit_budget,
     "parse_cf": lambda terms: parse_cf(" ".join(map(repr, terms))),
+    # a diagonal result's terms come from its public constructor
+    "CFDiagonalResult.as_continued_fraction":
+        lambda terms: CFDiagonalResult(terms, ()).as_continued_fraction(),
 }
 # convergents needs a count >= 1, so it takes no empty source
 CONVERGENT_SOURCES = {
@@ -394,6 +398,31 @@ def test_one_quotient_rule_with_one_message(terms, message):
     for entry in refusals:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             entry(terms)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False, min_value=0.0, exclude_min=True)
+
+
+@given(
+    st.builds(Fraction, st.integers(0, 10**30), st.integers(1, 10**30)),
+    finite_floats,
+    finite_floats,
+    term_lists,
+)
+def test_package_made_terms_pass_the_quotient_rule(x, real, eps, terms):
+    # these three build their terms without the rule, which must still hold
+    for cf in (from_rational(x), from_real_approx(real, eps), canonicalize(terms)):
+        assert type(cf) is ContinuedFraction and len(cf) >= 1
+        assert {type(a) for a in cf} == {int}
+        continued_fraction._check_quotients(0, cf)
+
+
+def test_numpy_inputs_give_plain_int_terms():
+    numpy = pytest.importorskip("numpy")
+    x = Fraction(numpy.int64(7), 3)
+    assert type(x.numerator) is not int  # Fraction keeps numpy's numerator
+    for cf in (from_rational(x), from_rational(numpy.int64(7)), from_real_approx(x, 1e-3)):
+        assert {type(a) for a in cf} == {int}
 
 
 class TestTextForms:

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from diagcf import (
     CFDiagonalFailure,
+    CFDiagonalResult,
+    DecimalDiagonalResult,
     DiagonalWitness,
     DomainError,
     InputError,
@@ -90,7 +92,7 @@ class TestDecimalDiagonal:
         with pytest.raises(DomainError, match=message):
             decimal_diagonal([Stream(iter([]), "decimal", at=lambda k: numpy.int64(3))], 1)
         with pytest.raises(DomainError, match=message):
-            verify_differs([5], [Stream([numpy.int64(3)], "decimal")], 1)
+            verify_differs(DecimalDiagonalResult(0, (5,), ()), [Stream([numpy.int64(3)], "decimal")], 1)
 
     def test_depth_validation(self):
         with pytest.raises(DomainError):
@@ -139,7 +141,7 @@ class TestCFDiagonal:
         with pytest.raises(InputError, match="a cf stream cannot be a decimal row"):
             decimal_diagonal([metallic(12)], 1)
         with pytest.raises(InputError, match="a decimal stream cannot be a cf row"):
-            verify_differs([0, 2], cw_digit_rows(1), 1, kind="cf")
+            verify_differs(CFDiagonalResult((0, 2), ()), cw_digit_rows(1), 1)
 
     def test_prefix_is_valid_cf(self):
         result = cf_diagonal(irrational_enumeration(6), 6)
@@ -223,18 +225,18 @@ class TestVerifierIndependence:
         values = CALKIN_WILF[start:start + depth]
         built = decimal_diagonal([digits_of(v) for v in values], depth)
 
-        def verdicts(digits):
+        def verdicts(result):
             return (
-                verify_differs(digits, [digits_of(v) for v in values], depth),
-                verify_differs(digits, [long_division_row(v) for v in values], depth),
+                verify_differs(result, [digits_of(v) for v in values], depth),
+                verify_differs(result, [long_division_row(v) for v in values], depth),
             )
 
-        assert verdicts(built.digits) == ((True, None), (True, None))
+        assert verdicts(built) == ((True, None), (True, None))
         # plant row k's own digit k in the built prefix
         k = data.draw(st.integers(1, depth))
         planted = list(built.digits)
         planted[k - 1] = digit_at(values[k - 1], k)
-        assert verdicts(planted) == ((False, k), (False, k))
+        assert verdicts(built._replace(digits=planted)) == ((False, k), (False, k))
 
 
 class TestVerifyDiffers:
@@ -252,7 +254,7 @@ class TestVerifyDiffers:
         def rows():
             return [Stream(itertools.repeat(i), "decimal") for i in range(1, 11)]
 
-        constructed = rows()[6].take(10)
+        constructed = DecimalDiagonalResult(0, rows()[6].take(10), ())
         ok, counterexample = verify_differs(constructed, rows(), 10)
         assert not ok
         assert counterexample == 7
@@ -270,7 +272,10 @@ class TestVerifyDiffers:
         rows = [Stream(itertools.repeat(good), kind) for _ in range(depth - 1)]
         first = 1 if kind == "decimal" else 0
         rows.append(Stream([good] * (37 - first) + [bad] + [good] * 10, kind))
-        built = [5] * depth if kind == "decimal" else [0] + [good + 1] * depth
+        if kind == "decimal":
+            built = DecimalDiagonalResult(0, (5,) * depth, ())
+        else:
+            built = CFDiagonalResult((0,) + (good + 1,) * depth, ())
         with pytest.raises(DomainError, match=f"^{message}$"):
             verify_differs(built, rows, depth)
 
@@ -278,37 +283,40 @@ class TestVerifyDiffers:
         # 1.0 passed the walk's >= 1 check, and the verdict was ok=True
         rows = [Stream(itertools.repeat(2), "cf") for _ in range(3)] + [[1, 2, 2.0, 2, 2]]
         with pytest.raises(DomainError, match=r"^partial quotient must be an integer, got 2\.0$"):
-            verify_differs([0, 3, 3, 3, 3], rows, 4)
+            verify_differs(CFDiagonalResult((0, 3, 3, 3, 3), ()), rows, 4)
 
     def test_bare_row_gets_the_digit_check(self):
         # digit 12 in a bare list used to pass, and the verdict was ok=True
         with pytest.raises(DomainError, match="^digit out of range: 12$"):
-            verify_differs([5], [[12]], 1, kind="decimal")
+            verify_differs(DecimalDiagonalResult(0, (5,), ()), [[12]], 1)
 
     def test_depth_zero_is_vacuous(self):
-        assert verify_differs([], [], 0) == (True, None)
+        empty = DecimalDiagonalResult(0, (), ())
+        assert verify_differs(empty, [], 0) == (True, None)
         with pytest.raises(DomainError, match="^depth must be >= 0$"):
-            verify_differs([], [], -1)
+            verify_differs(empty, [], -1)
 
     def test_plain_cf_prefix(self):
         # entries [a_00, a_01, ...]; metallic rows have a_kk = k
-        ok, _ = verify_differs([0, 2, 3, 4], irrational_enumeration(3), 3)
+        ok, _ = verify_differs(CFDiagonalResult((0, 2, 3, 4), ()), irrational_enumeration(3), 3)
         assert ok
-        ok, counterexample = verify_differs([0, 1, 3, 4], irrational_enumeration(3), 3)
+        built = CFDiagonalResult((0, 1, 3, 4), ())
+        ok, counterexample = verify_differs(built, irrational_enumeration(3), 3)
         assert not ok
         assert counterexample == 1
 
     def test_short_constructed_prefix(self):
         with pytest.raises(InputError, match="no entry"):
-            verify_differs([5], cw_digit_rows(3), 3)
+            verify_differs(DecimalDiagonalResult(0, (5,), ()), cw_digit_rows(3), 3)
 
-    def test_kind_required_for_bare_iterables(self):
-        with pytest.raises(InputError, match="kind"):
-            verify_differs([1, 2], [[3], [4, 5]], 2)
-        ok, _ = verify_differs([1, 2], [[3], [4, 5]], 2, kind="decimal")
-        assert ok
-        with pytest.raises(DomainError, match="^unknown kind: 'x'$"):
-            verify_differs([1, 2], [[3], [4, 5]], 2, kind="x")
+    @pytest.mark.parametrize("constructed", [[5, 5], (5, 5), "55", None], ids=repr)
+    def test_constructed_must_be_a_diagonal_result(self, constructed):
+        # the result names the rows' kind; a bare prefix names none
+        message = f"^constructed is not a diagonal result: {type(constructed).__name__}$"
+        for depth in (0, 2):
+            with pytest.raises(InputError, match=message):
+                verify_differs(constructed, [[3], [4, 5]], depth)
+        assert verify_differs(DecimalDiagonalResult(0, (1, 2), ()), [[3], [4, 5]], 2) == (True, None)
 
 
 class TestCFDiagonalOverRationals:
@@ -399,35 +407,33 @@ class TestRationalDiagonalAnalysis:
 class TestFormatWitnesses:
     def test_table(self):
         result = decimal_diagonal(constant_digit_rows(0, 2), 2)
-        text = format_witnesses(result.witnesses, "decimal", "table")
+        text = format_witnesses(result, "table")
         lines = text.split("\n")
         assert lines[0] == "     k      d_kk      d_0k  differs"
         assert lines[1] == "     1         0         5  yes"
         # rows keep bool items as given; the table prints them as digits
-        text = format_witnesses(decimal_diagonal([[True]], 1).witnesses)
+        text = format_witnesses(decimal_diagonal([[True]], 1))
         assert text.split("\n")[1] == "     1         1         5  yes"
-        text = format_witnesses(cf_diagonal([[0, True]], 1).witnesses, "cf")
+        text = format_witnesses(cf_diagonal([[0, True]], 1))
         assert text.split("\n")[1] == "     1         1         2  yes"
 
     def test_cf_labels(self):
         result = cf_diagonal(irrational_enumeration(2), 2)
-        header = format_witnesses(result.witnesses, "cf").split("\n")[0]
+        header = format_witnesses(result).split("\n")[0]
         assert "a_kk" in header and "a_0k" in header
 
     def test_tsv(self):
         result = decimal_diagonal(constant_digit_rows(0, 2), 2)
-        assert format_witnesses(result.witnesses, "decimal", "tsv") == "1\t0\t5\n2\t0\t5"
+        assert format_witnesses(result, "tsv") == "1\t0\t5\n2\t0\t5"
 
     def test_quotients_past_the_int_string_limit(self):
         big = 10**5000
-        witnesses = [DiagonalWitness(1, big, big + 1)]
+        result = CFDiagonalResult((0, big + 1), (DiagonalWitness(1, big, big + 1),))
         digits = "1" + "0" * 5000
-        assert format_witnesses(witnesses, "cf", "tsv") == f"1\t{digits}\t{digits[:-1]}1"
-        row = format_witnesses(witnesses, "cf").split("\n")[1]
+        assert format_witnesses(result, "tsv") == f"1\t{digits}\t{digits[:-1]}1"
+        row = format_witnesses(result).split("\n")[1]
         assert row == f"     1  {digits}  {digits[:-1]}1  yes"
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            format_witnesses([], "bogus")
-        with pytest.raises(DomainError):
-            format_witnesses([], "decimal", "xml")
+        with pytest.raises(DomainError, match="^unknown format: 'xml'$"):
+            format_witnesses(DecimalDiagonalResult(0, (), ()), "xml")
