@@ -8,6 +8,7 @@ a domain/range/input error (message on stderr), 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import re
 import sys
 from fractions import Fraction
@@ -246,14 +247,14 @@ def _render_diagonal(result, fmt: str) -> list[str]:
 
 
 def _diag_decimal(args) -> list[str]:
-    rows = [digits_of(v) for v in calkin_wilf().take(args.depth)]
+    rows = map(digits_of, calkin_wilf())
     return _render_diagonal(decimal_diagonal(rows, args.depth), args.format)
 
 
 def _diag_cf(args) -> list[str]:
     if args.source == "rationals":
         return [cf_diagonal_over_rationals(calkin_wilf()).message()]
-    rows = [metallic(k) for k in range(1, args.depth + 1)]
+    rows = map(metallic, itertools.count(1))
     return _render_diagonal(cf_diagonal(rows, args.depth), args.format)
 
 

@@ -50,10 +50,12 @@ class DecimalDiagonalResult(NamedTuple):
     labels = ("d_kk", "d_0k")
 
     def entry(self, position: int) -> int:
+        if position < 1:  # a row's index rule; IndexError past the end
+            raise DomainError(f"entry index must be >= 1, got {position}")
         return self.digits[position - 1]
 
     def __str__(self) -> str:
-        return f"{self.integer_part}." + "".join(str(d) for d in self.digits)
+        return f"{_digits_of_int(self.integer_part)}." + "".join(map(_digits_of_int, self.digits))
 
 
 class CFDiagonalResult(NamedTuple):
@@ -66,6 +68,8 @@ class CFDiagonalResult(NamedTuple):
     labels = ("a_kk", "a_0k")
 
     def entry(self, position: int) -> int:
+        if position < 0:  # a row's index rule; IndexError past the end
+            raise DomainError(f"entry index must be >= 0, got {position}")
         return self.terms[position]
 
     def as_continued_fraction(self) -> ContinuedFraction:
@@ -150,8 +154,8 @@ def _nth_entry(row: Stream, position: int) -> int:
     return run[-1]
 
 
-def _enough_rows(rows: Sequence, depth: int) -> list:
-    rows = list(rows)
+def _enough_rows(rows: Iterable, depth: int) -> list:
+    rows = list(itertools.islice(rows, depth))
     if len(rows) < depth:
         raise InputError(f"need {depth} rows, got {len(rows)}")
     return rows
@@ -164,7 +168,7 @@ def _check_shape(max_preperiod: int, max_period: int) -> None:
         raise DomainError("max_period must be >= 1")
 
 
-def _diagonal(rows: Sequence, depth: int, kind: str, rule):
+def _diagonal(rows: Iterable, depth: int, kind: str, rule):
     # a row with `entry` is read at position k directly, any other is walked
     if depth < 1:
         raise DomainError("depth must be >= 1")
@@ -180,31 +184,34 @@ def _diagonal(rows: Sequence, depth: int, kind: str, rule):
     return tuple(built), tuple(witnesses)
 
 
-def decimal_diagonal(rows: Sequence, depth: int) -> DecimalDiagonalResult:
+def decimal_diagonal(rows: Iterable, depth: int) -> DecimalDiagonalResult:
     """Build d_0k = 5 (or 4 when the diagonal digit is 5) for k = 1..depth.
 
-    Digit k of row k is read directly from the package's rows, so this is
-    O(depth log depth); other rows are walked up to it. Returns the digit
-    prefix of the built number (integer part 0) with per-position witnesses.
+    Exactly `depth` rows are pulled from any iterable. Digit k of row k is
+    read directly from the package's rows, so this is O(depth log depth);
+    other rows are walked up to it. Returns the digit prefix of the built
+    number (integer part 0) with per-position witnesses.
     """
     digits, witnesses = _diagonal(rows, depth, "decimal", lambda d_kk: 5 if d_kk != 5 else 4)
     return DecimalDiagonalResult(0, digits, witnesses)
 
 
-def cf_diagonal(rows: Sequence, depth: int) -> CFDiagonalResult:
-    """Build a_00 = 0 and a_0k = a_kk + 1 for k = 1..depth."""
+def cf_diagonal(rows: Iterable, depth: int) -> CFDiagonalResult:
+    """Build a_00 = 0 and a_0k = a_kk + 1 for k = 1..depth, over exactly the
+    first `depth` rows of any iterable, which may be infinite."""
     terms, witnesses = _diagonal(rows, depth, "cf", lambda a_kk: a_kk + 1)
     return CFDiagonalResult((0,) + terms, witnesses)  # a_00 = 0: reproducible
 
 
-def verify_differs(constructed, rows: Sequence, depth: int) -> VerifyResult:
+def verify_differs(constructed, rows: Iterable, depth: int) -> VerifyResult:
     """Re-check that a diagonal result differs from row k at position k.
 
     The result's kind is the rows' kind, and its `entry(k)` is compared
-    with row k's entry k. Rows are walked, never read through `entry`, so
-    this stays independent of the construction; pass fresh streams. The
-    walk is O(depth^2) items but only O(depth + depth^2/256) Python steps
-    over `digits_of` rows, which hand out 256 digits at a time. The first
+    with row k's entry k. Exactly `depth` rows are pulled from any
+    iterable. They are walked, never read through `entry`, so this stays
+    independent of the construction; pass fresh streams. The walk is
+    O(depth^2) items but only O(depth + depth^2/256) Python steps over
+    `digits_of` rows, which hand out 256 digits at a time. The first
     failing position is the counterexample; depth 0 is vacuously true.
     """
     if not isinstance(constructed, (DecimalDiagonalResult, CFDiagonalResult)):
@@ -273,6 +280,7 @@ def rational_diagonal_analysis(
 ) -> RationalDiagonalReport:
     """Diagonalize the first `depth` rationals' digit streams, then report
     which small (preperiod, period) shapes the built prefix rules out.
+    Exactly `depth` values are pulled from the enumeration, any iterable.
 
     Requires depth >= max_preperiod + 2*max_period so every candidate
     shape gets at least one full period-against-period comparison.
@@ -283,11 +291,7 @@ def rational_diagonal_analysis(
             f"depth {depth} is less than max_preperiod + 2*max_period "
             f"= {max_preperiod + 2 * max_period}"
         )
-    values = list(itertools.islice(iter(enumeration), depth))
-    if len(values) < depth:
-        raise InputError(f"enumeration supplied {len(values)} of {depth} values")
-    rows = [digits_of(v) for v in values]
-    diagonal = decimal_diagonal(rows, depth)
+    diagonal = decimal_diagonal(map(digits_of, enumeration), depth)
     rulings = tuple(rule_out_periods(diagonal.digits, max_preperiod, max_period))
     return RationalDiagonalReport(depth, max_preperiod, max_period, diagonal, rulings)
 

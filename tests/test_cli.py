@@ -381,9 +381,11 @@ class TestErrorsAndExitCodes:
 
 
 # Literals from ASCII and Arabic-Indic digits, the grammar's punctuation and
-# the stream names, fed to the commands that only parse and convert them.
-# `decimal` and `diag` stay out: a short literal can still start seconds of
-# work there (`decimal expand` of a product of two 20-digit primes).
+# the stream names, fed to the commands that only parse and convert them;
+# and the `diag` commands with every option, each integer in -3..64, so that
+# a case takes milliseconds. `decimal` stays out: a short literal can still
+# start seconds of work there (`decimal expand` of a product of two 20-digit
+# primes).
 fuzz_literals = st.lists(
     st.one_of(
         st.text("0123456789", min_size=1, max_size=6),
@@ -396,6 +398,17 @@ fuzz_argv = st.one_of(
     st.tuples(st.sampled_from(["from-rational", "to-rational", "convergents"]), fuzz_literals)
     .map(lambda t: ["cf", *t]),
     st.lists(fuzz_literals, min_size=3, max_size=3).map(lambda t: ["approx", "compare", *t]),
+    st.tuples(
+        st.sampled_from(["decimal", "cf", "analyze"]),
+        st.lists(st.one_of(
+            st.tuples(st.just("--source"), st.sampled_from(["irrationals", "rationals"])),
+            st.tuples(st.just("--format"), st.sampled_from(["table", "tsv"])),
+            st.tuples(
+                st.sampled_from(["--depth", "--max-preperiod", "--max-period"]),
+                st.integers(-3, 64).map(str),
+            ),
+        ), max_size=4),
+    ).map(lambda t: ["diag", t[0], *(arg for option in t[1] for arg in option)]),
 )
 
 

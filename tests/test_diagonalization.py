@@ -38,6 +38,14 @@ def constant_digit_rows(digit, count):
     return [Stream(itertools.repeat(digit), "decimal") for _ in range(count)]
 
 
+def at_most(rows, depth):
+    """The items of `rows`, which may be infinite; pulling item depth + 1 fails the test."""
+    for k, row in enumerate(rows, start=1):
+        if k > depth:
+            pytest.fail(f"row {k} pulled at depth {depth}")
+        yield row
+
+
 class TestDecimalDiagonal:
     def test_over_calkin_wilf(self):
         depth = 20
@@ -63,6 +71,11 @@ class TestDecimalDiagonal:
         result = decimal_diagonal(constant_digit_rows(0, 3), 3)
         assert [result.entry(k) for k in (1, 2, 3)] == [5, 5, 5]
         assert str(result) == "0.555"
+
+    def test_str_prints_ints_of_any_size_as_digits(self):
+        # str() of the integer part raised ValueError past the int/str limit
+        assert str(DecimalDiagonalResult(10**5000, (1,), ())) == "1" + "0" * 5000 + ".1"
+        assert str(DecimalDiagonalResult(0, (True, 2), ())) == "0.12"
 
     def test_row_exhausted(self):
         with pytest.raises(InputError, match="exhausted"):
@@ -97,6 +110,11 @@ class TestDecimalDiagonal:
     def test_depth_validation(self):
         with pytest.raises(DomainError):
             decimal_diagonal([], 0)
+        for depth in (0, -3):  # checked before any row is pulled
+            with pytest.raises(DomainError, match="^depth must be >= 1$"):
+                decimal_diagonal(at_most(map(digits_of, calkin_wilf()), 0), depth)
+            with pytest.raises(DomainError, match="^depth must be >= 1$"):
+                cf_diagonal(at_most(map(metallic, itertools.count(1)), 0), depth)
 
 
 class TestCFDiagonal:
@@ -148,6 +166,54 @@ class TestCFDiagonal:
         cf = result.as_continued_fraction()
         assert cf.terms[0] >= 0
         assert all(a >= 1 for a in cf.terms[1:])
+
+
+class TestRowsFromAnyIterable:
+    """The diagonals pull exactly `depth` rows from any iterable, infinite ones too."""
+
+    @pytest.mark.parametrize("depth", [1, 5, 40])
+    def test_decimal_diagonal_and_its_verdict(self, depth):
+        def rows():
+            return at_most(map(digits_of, calkin_wilf()), depth)
+
+        built = decimal_diagonal(rows(), depth)
+        assert built == decimal_diagonal(cw_digit_rows(depth), depth)
+        assert verify_differs(built, rows(), depth) == (True, None)
+
+    @pytest.mark.parametrize("depth", [1, 5, 40])
+    def test_cf_diagonal_and_its_verdict(self, depth):
+        def rows():
+            return at_most(map(metallic, itertools.count(1)), depth)
+
+        built = cf_diagonal(rows(), depth)
+        assert built == cf_diagonal(irrational_enumeration(depth), depth)
+        assert verify_differs(built, rows(), depth) == (True, None)
+
+
+class TestResultEntry:
+    """A result's `entry` follows its rows' index rule."""
+
+    DECIMAL = DecimalDiagonalResult(0, (5, 4, 5), ())
+    CF = CFDiagonalResult((0, 2, 3), ())
+
+    @pytest.mark.parametrize(
+        "result, position, first", [(DECIMAL, 0, 1), (DECIMAL, -1, 1), (CF, -1, 0)],
+        ids=["decimal-0", "decimal-minus-1", "cf-minus-1"],
+    )
+    def test_below_the_first_index_is_refused(self, result, position, first):
+        # these read the last entries through negative tuple indexing
+        message = f"^entry index must be >= {first}, got {position}$"
+        with pytest.raises(DomainError, match=message):
+            result.entry(position)
+        row = digits_of(Fraction(1, 3)) if first == 1 else metallic(2)
+        with pytest.raises(DomainError, match=message):  # a row's own words
+            row.entry(position)
+
+    def test_past_the_end_is_an_index_error(self):
+        with pytest.raises(IndexError):
+            self.DECIMAL.entry(4)
+        with pytest.raises(IndexError):
+            self.CF.entry(3)
 
 
 class TestRandomAccessRows:
@@ -386,7 +452,7 @@ class TestRuleOutPeriods:
 
 class TestRationalDiagonalAnalysis:
     def test_report_shape(self):
-        report = rational_diagonal_analysis(calkin_wilf(), 100, 10, 20)
+        report = rational_diagonal_analysis(at_most(calkin_wilf(), 100), 100, 10, 20)
         assert report.depth == 100
         assert len(report.diagonal.digits) == 100
         assert len(report.rulings) == 11 * 20
@@ -400,7 +466,7 @@ class TestRationalDiagonalAnalysis:
         assert report.depth == 12
 
     def test_short_enumeration(self):
-        with pytest.raises(InputError, match="supplied"):
+        with pytest.raises(InputError, match="^need 12 rows, got 1$"):
             rational_diagonal_analysis(iter([Fraction(1, 3)]), 12, 2, 5)
 
 
