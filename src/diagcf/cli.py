@@ -242,8 +242,7 @@ def _decimal_find_period(args) -> list[str]:
 
 
 def _render_diagonal(result, fmt: str) -> list[str]:
-    table = format_witnesses(result, fmt)
-    return [f"constructed: {result}", *table.split("\n")]
+    return [f"constructed: {result}", format_witnesses(result, fmt)]
 
 
 def _diag_decimal(args) -> list[str]:

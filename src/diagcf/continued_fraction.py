@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import DomainError, RangeError
-from .exact_numbers import Rational, _digits_of_int, _int_from_digits, _is_digits
+from .exact_numbers import Rational, _check_count, _digits_of_int, _int_from_digits, _is_digits
 
 __all__ = (
     "ApproximationComparison", "ContinuedFraction", "Convergent",
@@ -43,10 +43,10 @@ def _check_quotients(index: int, run: Sequence[int]) -> None:
     if min(run, default=1) >= 1:  # every quotient >= 1: nothing left to find
         return
     if index == 0 and run and run[0] < 0:
-        raise DomainError(f"first partial quotient must be >= 0, got {run[0]:d}")
+        raise DomainError(f"first partial quotient must be >= 0, got {_digits_of_int(run[0])}")
     if min(itertools.islice(run, 1 if index == 0 else 0, None), default=1) < 1:
         k, a = next((k, a) for k, a in enumerate(run, index) if k > 0 and a < 1)
-        raise DomainError(f"partial quotient at index {k} must be >= 1, got {a:d}")
+        raise DomainError(f"partial quotient at index {k} must be >= 1, got {_digits_of_int(a)}")
 
 
 def _quotients(items: Iterable[int]) -> tuple[int, ...]:
@@ -158,6 +158,7 @@ def convergents(source, count: int) -> list[Convergent]:
     """
     if count < 1:
         raise RangeError("count must be >= 1")
+    _check_count("count", count)
     # only the first `count` quotients are pulled, and they pass the quotient rule
     quotients = _quotients(itertools.islice(source, count))
     if len(quotients) < count:

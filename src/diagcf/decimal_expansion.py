@@ -244,7 +244,9 @@ def find_period_at_least(min_length: int) -> Rational:
     if min_length < 1:
         raise DomainError("period length bound must be >= 1")
     if min_length > MAX_DIGITS:  # the re-check would refuse every winner
-        raise RangeError(f"period length bound {min_length} exceeds {MAX_DIGITS} digits")
+        raise RangeError(
+            f"period length bound {_digits_of_int(min_length)} exceeds {MAX_DIGITS} digits"
+        )
     d = max(3, min_length + 1)
     while True:
         if math.gcd(d, 10) == 1 and multiplicative_order(10, d) >= min_length:

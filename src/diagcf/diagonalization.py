@@ -14,13 +14,12 @@ its own diagonal entry, as a checkable certificate.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .continued_fraction import ContinuedFraction, from_rational
 from .enumeration import Stream, digits_of
 from .errors import DomainError, InputError, RangeError
-from .exact_numbers import Rational, _digits_of_int
+from .exact_numbers import Rational, _check_count, _digits_of_int
 
 __all__ = (
     "CFDiagonalFailure", "CFDiagonalResult", "DecimalDiagonalResult",
@@ -51,7 +50,7 @@ class DecimalDiagonalResult(NamedTuple):
 
     def entry(self, position: int) -> int:
         if position < 1:  # a row's index rule; IndexError past the end
-            raise DomainError(f"entry index must be >= 1, got {position}")
+            raise DomainError(f"entry index must be >= 1, got {_digits_of_int(position)}")
         return self.digits[position - 1]
 
     def __str__(self) -> str:
@@ -69,7 +68,7 @@ class CFDiagonalResult(NamedTuple):
 
     def entry(self, position: int) -> int:
         if position < 0:  # a row's index rule; IndexError past the end
-            raise DomainError(f"entry index must be >= 0, got {position}")
+            raise DomainError(f"entry index must be >= 0, got {_digits_of_int(position)}")
         return self.terms[position]
 
     def as_continued_fraction(self) -> ContinuedFraction:
@@ -133,15 +132,22 @@ class RationalDiagonalReport(NamedTuple):
         return tuple(r for r in self.rulings if not r.consistent)
 
 
-def _fresh_row(row, kind: str) -> Stream:
-    # a bare iterable is wrapped once, so every row passes its kind's check
-    if not isinstance(row, Stream):
-        return Stream(row, kind)
-    if row.kind != kind:
-        raise InputError(f"a {row.kind} stream cannot be a {kind} row")
-    if row.position != 0:
-        raise InputError("row stream already consumed; recreate streams to rewind")
-    return row
+def _rows(rows: Iterable, depth: int, kind: str) -> Iterator[tuple[int, Stream]]:
+    # (k, row k) for k = 1..depth, one row pulled per position so that none is
+    # held once read; a bare iterable is wrapped once, so every row passes its
+    # kind's check
+    _check_count("depth", depth)
+    k = 0
+    for k, row in zip(range(1, depth + 1), rows):
+        if not isinstance(row, Stream):
+            row = Stream(row, kind)
+        elif row.kind != kind:
+            raise InputError(f"a {row.kind} stream cannot be a {kind} row")
+        elif row.position != 0:
+            raise InputError("row stream already consumed; recreate streams to rewind")
+        yield k, row
+    if k < depth:
+        raise InputError(f"need {depth} rows, got {k}")
 
 
 def _nth_entry(row: Stream, position: int) -> int:
@@ -154,29 +160,26 @@ def _nth_entry(row: Stream, position: int) -> int:
     return run[-1]
 
 
-def _enough_rows(rows: Iterable, depth: int) -> list:
-    rows = list(itertools.islice(rows, depth))
-    if len(rows) < depth:
-        raise InputError(f"need {depth} rows, got {len(rows)}")
-    return rows
-
-
-def _check_shape(max_preperiod: int, max_period: int) -> None:
+def _check_shape(max_preperiod: int, max_period: int, depth: int) -> None:
+    # every shape gets at least one full period-against-period comparison
     if max_preperiod < 0:
         raise DomainError("max_preperiod must be >= 0")
     if max_period < 1:
         raise DomainError("max_period must be >= 1")
+    if depth < max_preperiod + 2 * max_period:
+        raise RangeError(
+            f"depth {_digits_of_int(depth)} is less than max_preperiod + 2*max_period "
+            f"= {_digits_of_int(max_preperiod + 2 * max_period)}"
+        )
 
 
 def _diagonal(rows: Iterable, depth: int, kind: str, rule):
     # a row with `entry` is read at position k directly, any other is walked
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    rows = _enough_rows(rows, depth)
     built: list[int] = []
     witnesses: list[DiagonalWitness] = []
-    for k in range(1, depth + 1):
-        row = _fresh_row(rows[k - 1], kind)
+    for k, row in _rows(rows, depth, kind):
         entry = getattr(row, "entry", None)
         x_kk = entry(k) if entry is not None else _nth_entry(row, k)
         built.append(rule(x_kk))
@@ -187,10 +190,11 @@ def _diagonal(rows: Iterable, depth: int, kind: str, rule):
 def decimal_diagonal(rows: Iterable, depth: int) -> DecimalDiagonalResult:
     """Build d_0k = 5 (or 4 when the diagonal digit is 5) for k = 1..depth.
 
-    Exactly `depth` rows are pulled from any iterable. Digit k of row k is
-    read directly from the package's rows, so this is O(depth log depth);
-    other rows are walked up to it. Returns the digit prefix of the built
-    number (integer part 0) with per-position witnesses.
+    Exactly `depth` rows are pulled from any iterable, one at a time, and
+    each is dropped once read. Digit k of row k is read directly from the
+    package's rows, so this is O(depth log depth); other rows are walked
+    up to it. Returns the digit prefix of the built number (integer part
+    0) with per-position witnesses.
     """
     digits, witnesses = _diagonal(rows, depth, "decimal", lambda d_kk: 5 if d_kk != 5 else 4)
     return DecimalDiagonalResult(0, digits, witnesses)
@@ -198,7 +202,8 @@ def decimal_diagonal(rows: Iterable, depth: int) -> DecimalDiagonalResult:
 
 def cf_diagonal(rows: Iterable, depth: int) -> CFDiagonalResult:
     """Build a_00 = 0 and a_0k = a_kk + 1 for k = 1..depth, over exactly the
-    first `depth` rows of any iterable, which may be infinite."""
+    first `depth` rows of any iterable, which may be infinite; they are
+    pulled one at a time, and each is dropped once read."""
     terms, witnesses = _diagonal(rows, depth, "cf", lambda a_kk: a_kk + 1)
     return CFDiagonalResult((0,) + terms, witnesses)  # a_00 = 0: reproducible
 
@@ -207,22 +212,20 @@ def verify_differs(constructed, rows: Iterable, depth: int) -> VerifyResult:
     """Re-check that a diagonal result differs from row k at position k.
 
     The result's kind is the rows' kind, and its `entry(k)` is compared
-    with row k's entry k. Exactly `depth` rows are pulled from any
-    iterable. They are walked, never read through `entry`, so this stays
-    independent of the construction; pass fresh streams. The walk is
-    O(depth^2) items but only O(depth + depth^2/256) Python steps over
-    `digits_of` rows, which hand out 256 digits at a time. The first
-    failing position is the counterexample; depth 0 is vacuously true.
+    with row k's entry k. Rows are pulled from any iterable one at a time,
+    each dropped once read: `depth` of them, or up to the first failing
+    position, which is the counterexample and ends the pull. They are
+    walked, never read through `entry`, so this stays independent of the
+    construction; pass fresh streams. The walk is O(depth^2) items but
+    only O(depth + depth^2/256) Python steps over `digits_of` rows, which
+    hand out 256 digits at a time. Depth 0 is vacuously true.
     """
     if not isinstance(constructed, (DecimalDiagonalResult, CFDiagonalResult)):
         raise InputError(f"constructed is not a diagonal result: {type(constructed).__name__}")
-    if depth == 0:
-        return VerifyResult(True, None)
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    rows = _enough_rows(rows, depth)
-    for k in range(1, depth + 1):
-        row_entry = _nth_entry(_fresh_row(rows[k - 1], constructed.kind), k)
+    for k, row in _rows(rows, depth, constructed.kind):
+        row_entry = _nth_entry(row, k)
         try:
             built = constructed.entry(k)
         except IndexError:
@@ -256,10 +259,11 @@ def rule_out_periods(
     A shape is ruled out only by two concrete in-prefix positions j and
     j + period, both past the preperiod, holding different digits; the
     first such j is recorded. Everything else is reported consistent:
-    a finite prefix can rule shapes out but can never certify one.
+    a finite prefix can rule shapes out but can never certify one. The
+    prefix must hold at least max_preperiod + 2*max_period digits.
     """
-    _check_shape(max_preperiod, max_period)
     n = len(digits)
+    _check_shape(max_preperiod, max_period, n)
     rulings: list[PeriodRuling] = []
     for p in range(max_preperiod + 1):
         for l in range(1, max_period + 1):
@@ -285,12 +289,7 @@ def rational_diagonal_analysis(
     Requires depth >= max_preperiod + 2*max_period so every candidate
     shape gets at least one full period-against-period comparison.
     """
-    _check_shape(max_preperiod, max_period)
-    if depth < max_preperiod + 2 * max_period:
-        raise RangeError(
-            f"depth {depth} is less than max_preperiod + 2*max_period "
-            f"= {max_preperiod + 2 * max_period}"
-        )
+    _check_shape(max_preperiod, max_period, depth)
     diagonal = decimal_diagonal(map(digits_of, enumeration), depth)
     rulings = tuple(rule_out_periods(diagonal.digits, max_preperiod, max_period))
     return RationalDiagonalReport(depth, max_preperiod, max_period, diagonal, rulings)

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .continued_fraction import _check_quotients
 from .decimal_expansion import _BLOCK, _SCALE, digit_at
 from .errors import DomainError, RangeError
-from .exact_numbers import Rational, _int_from_digits, _is_digits
+from .exact_numbers import Rational, _check_count, _digits_of_int, _int_from_digits, _is_digits
 
 __all__ = (
     "PI_PARTIAL_QUOTIENTS", "Stream", "calkin_wilf", "digits_of",
@@ -61,7 +61,7 @@ def _check_digits(index: int, run: Sequence[int]) -> None:
     bad = next(d for d in run if not (isinstance(d, int) and 0 <= d <= 9))
     if not isinstance(bad, int):
         raise DomainError(f"digit must be an integer, got {bad!r}")
-    raise DomainError(f"digit out of range: {bad}")
+    raise DomainError(f"digit out of range: {_digits_of_int(bad)}")
 
 
 # per kind: the index of the first item, and the check every run passes
@@ -107,7 +107,9 @@ class Stream:
 
     def _entry(self, k: int) -> int:
         if k < self.first_index:
-            raise DomainError(f"entry index must be >= {self.first_index}, got {k}")
+            raise DomainError(
+                f"entry index must be >= {self.first_index}, got {_digits_of_int(k)}"
+            )
         value = self._at(k)
         self._check(k, (value,))
         return value
@@ -123,6 +125,7 @@ class Stream:
 
     def take(self, n: int) -> list:
         """The next n items (none for n <= 0); fewer only where the stream ends."""
+        _check_count("count", n)
         run = list(itertools.islice(self._items, max(n, 0)))
         self._check(self.first_index + self.position, run)
         self.position += len(run)
@@ -235,4 +238,5 @@ def irrational_enumeration(count: int) -> list[Stream]:
     """metallic(1), ..., metallic(count): pairwise distinct infinite streams."""
     if count < 1:
         raise DomainError("count must be >= 1")
+    _check_count("count", count)
     return [metallic(k) for k in range(1, count + 1)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, RangeError
 
 __all__ = ("Rational", "make_rational", "parse_rational", "to_string")
 
@@ -46,8 +46,12 @@ def _int_from_digits(s: str) -> int:
 
 
 def _digits_of_int(n: int) -> str:
-    """The digits of an int of any size; a bool prints as 0 or 1."""
-    bits = n.bit_length()  # a digit carries 3.32 bits
+    """The digits of an int of any size; a bool prints as 0 or 1, and a
+    value that is no int, which only a refusal quotes, as its str()."""
+    try:
+        bits = n.bit_length()  # a digit carries 3.32 bits
+    except AttributeError:
+        return str(n)
     if bits < 3 * _UNCHECKED_DIGITS or bits <= 3 * (sys.get_int_max_str_digits() or bits):
         return int.__repr__(n)
     if n < 0:
@@ -55,6 +59,12 @@ def _digits_of_int(n: int) -> str:
     low = bits * 3 // 20  # about half the digits
     high, rest = divmod(n, 10**low)
     return _digits_of_int(high) + _digits_of_int(rest).zfill(low)
+
+
+def _check_count(name: str, n: int) -> None:
+    # islice refuses a stop past sys.maxsize, and no list could hold that many
+    if n > sys.maxsize:
+        raise RangeError(f"{name} must be <= {sys.maxsize}")
 
 
 def make_rational(num: int, den: int) -> Rational:

@@ -292,6 +292,23 @@ class TestApprox:
 
 
 class TestErrorsAndExitCodes:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("cf", "convergents", "sqrt2", "--count"), "count"),
+            (("cf", "convergents", "1/3", "--count"), "count"),
+            (("diag", "decimal", "--depth"), "depth"),
+            (("diag", "cf", "--source", "irrationals", "--depth"), "depth"),
+            (("diag", "analyze", "--depth"), "depth"),
+        ],
+        ids=["convergents-stream", "convergents-rational", "decimal", "cf", "analyze"],
+    )
+    def test_count_past_maxsize_is_refused(self, argv, name):
+        # these ended in islice's ValueError traceback
+        done = run_process(*argv, str(10**20), timeout=10)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"error: {name} must be <= {sys.maxsize}\n"
+
     def test_domain_error_is_exit_1(self, capsys):
         code, out, err = invoke(capsys, "cf", "from-rational", "1/0")
         assert code == 1
@@ -382,10 +399,11 @@ class TestErrorsAndExitCodes:
 
 # Literals from ASCII and Arabic-Indic digits, the grammar's punctuation and
 # the stream names, fed to the commands that only parse and convert them;
-# and the `diag` commands with every option, each integer in -3..64, so that
-# a case takes milliseconds. `decimal` stays out: a short literal can still
-# start seconds of work there (`decimal expand` of a product of two 20-digit
-# primes).
+# `cf convergents` with a `--count`; and the `diag` commands with every
+# option. Each integer is in -3..64, so that a case takes milliseconds, or a
+# count or depth past sys.maxsize, which is refused before any work. `decimal`
+# stays out: a short literal can still start seconds of work there (`decimal
+# expand` of a product of two 20-digit primes).
 fuzz_literals = st.lists(
     st.one_of(
         st.text("0123456789", min_size=1, max_size=6),
@@ -394,18 +412,21 @@ fuzz_literals = st.lists(
     ),
     max_size=8,
 ).map("".join)
+fuzz_counts = st.one_of(st.integers(-3, 64), st.sampled_from([2**63, 10**20])).map(str)
 fuzz_argv = st.one_of(
     st.tuples(st.sampled_from(["from-rational", "to-rational", "convergents"]), fuzz_literals)
     .map(lambda t: ["cf", *t]),
+    st.tuples(fuzz_literals, fuzz_counts)
+    .map(lambda t: ["cf", "convergents", t[0], "--count", t[1]]),
     st.lists(fuzz_literals, min_size=3, max_size=3).map(lambda t: ["approx", "compare", *t]),
     st.tuples(
         st.sampled_from(["decimal", "cf", "analyze"]),
         st.lists(st.one_of(
             st.tuples(st.just("--source"), st.sampled_from(["irrationals", "rationals"])),
             st.tuples(st.just("--format"), st.sampled_from(["table", "tsv"])),
+            st.tuples(st.just("--depth"), fuzz_counts),
             st.tuples(
-                st.sampled_from(["--depth", "--max-preperiod", "--max-period"]),
-                st.integers(-3, 64).map(str),
+                st.sampled_from(["--max-preperiod", "--max-period"]), st.integers(-3, 64).map(str)
             ),
         ), max_size=4),
     ).map(lambda t: ["diag", t[0], *(arg for option in t[1] for arg in option)]),

@@ -1,4 +1,5 @@
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -190,6 +191,40 @@ class TestRowsFromAnyIterable:
         assert verify_differs(built, rows(), depth) == (True, None)
 
 
+class TestOneRowAtATime:
+    """Row k is pulled when the diagonal reaches it and is dropped once read."""
+
+    class Row(Stream):
+        __slots__ = ("__weakref__",)  # Stream's slots leave rows without weakrefs
+
+    def rows(self, live):
+        # all-zero rows; reading row k records how many of rows 1..k-1 are alive
+        refs = []
+
+        def read(k):
+            live.append(sum(ref() is not None for ref in refs[:k - 1]))
+            return 0
+
+        for k in itertools.count(1):
+            row = self.Row(map(read, itertools.repeat(k)), "decimal", at=read)
+            refs.append(weakref.ref(row))
+            yield row
+
+    def test_a_row_is_freed_once_read(self):
+        live = []
+        built = decimal_diagonal(self.rows(live), 30)
+        assert built.digits == (5,) * 30
+        assert live == [0] * 30  # each row through entry
+        live.clear()
+        assert verify_differs(built, self.rows(live), 30) == (True, None)
+        assert len(live) == 30 * 31 // 2 and set(live) == {0}  # each item of the walks
+
+    def test_verify_stops_at_its_counterexample(self):
+        rows = (Stream(itertools.repeat(5 if k == 3 else 0), "decimal") for k in itertools.count(1))
+        planted = DecimalDiagonalResult(0, (5,) * 6, ())
+        assert verify_differs(planted, at_most(rows, 3), 6) == (False, 3)
+
+
 class TestResultEntry:
     """A result's `entry` follows its rows' index rule."""
 
@@ -197,11 +232,13 @@ class TestResultEntry:
     CF = CFDiagonalResult((0, 2, 3), ())
 
     @pytest.mark.parametrize(
-        "result, position, first", [(DECIMAL, 0, 1), (DECIMAL, -1, 1), (CF, -1, 0)],
-        ids=["decimal-0", "decimal-minus-1", "cf-minus-1"],
+        "result, position, first",
+        [(DECIMAL, 0, 1), (DECIMAL, -1, 1), (CF, -1, 0), (DECIMAL, 0.5, 1), (CF, -0.5, 0)],
+        ids=["decimal-0", "decimal-minus-1", "cf-minus-1", "decimal-float", "cf-float"],
     )
     def test_below_the_first_index_is_refused(self, result, position, first):
-        # these read the last entries through negative tuple indexing
+        # the ints read the last entries through negative tuple indexing; the
+        # floats keep the refusal they had, quoted through str()
         message = f"^entry index must be >= {first}, got {position}$"
         with pytest.raises(DomainError, match=message):
             result.entry(position)
@@ -448,6 +485,17 @@ class TestRuleOutPeriods:
             rule_out_periods([1, 2], -1, 1)
         with pytest.raises(DomainError):
             rule_out_periods([1, 2], 0, 0)
+
+    def test_prefix_shorter_than_the_shapes_is_refused(self):
+        # the analysis's depth rule; a huge max_period looped without end
+        message = r"^depth 4 is less than max_preperiod \+ 2\*max_period = 5$"
+        with pytest.raises(RangeError, match=message):
+            rule_out_periods([1, 2, 1, 2], 1, 2)
+        assert len(rule_out_periods([1, 2, 1, 2, 1], 1, 2)) == 4
+        with pytest.raises(RangeError, match="^depth 4 is less than "):
+            rule_out_periods([1, 2, 1, 2], 0, 10**5000)
+        with pytest.raises(DomainError):  # the domain checks come first
+            rule_out_periods([], -1, 10**5000)
 
 
 class TestRationalDiagonalAnalysis:

@@ -7,15 +7,30 @@ from hypothesis import given, strategies as st
 
 from diagcf import exact_numbers
 from diagcf import (
+    CFDiagonalResult,
     ContinuedFraction,
+    DecimalDiagonalResult,
     DomainError,
+    InputError,
+    RangeError,
+    Stream,
+    calkin_wilf,
+    cf_diagonal,
+    convergents,
+    decimal_diagonal,
+    digits_of,
     expand,
+    find_period_at_least,
+    irrational_enumeration,
     make_rational,
+    metallic,
     parse_cf,
     parse_expansion,
     parse_rational,
+    rational_diagonal_analysis,
     reconstruct,
     to_string,
+    verify_differs,
 )
 
 rationals = st.builds(
@@ -127,3 +142,68 @@ def test_long_paths_leave_the_global_int_string_limit_alone(limit):
         assert sys.get_int_max_str_digits() == limit
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+BIG = 10**5000  # 5001 digits, past CPython's 4300
+TEN = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ContinuedFraction([-BIG]), DomainError,
+         f"first partial quotient must be >= 0, got -{TEN}"),
+        (lambda: ContinuedFraction([1, -BIG]), DomainError,
+         f"partial quotient at index 1 must be >= 1, got -{TEN}"),
+        (lambda: Stream([BIG], "decimal").take(1), DomainError, f"digit out of range: {TEN}"),
+        (lambda: digits_of(Fraction(1, 3)).entry(-BIG), DomainError,
+         f"entry index must be >= 1, got -{TEN}"),
+        (lambda: DecimalDiagonalResult(0, (1,), ()).entry(-BIG), DomainError,
+         f"entry index must be >= 1, got -{TEN}"),
+        (lambda: CFDiagonalResult((0, 2), ()).entry(-BIG), DomainError,
+         f"entry index must be >= 0, got -{TEN}"),
+        (lambda: find_period_at_least(BIG), RangeError,
+         f"period length bound {TEN} exceeds 20000000 digits"),
+        (lambda: rational_diagonal_analysis(calkin_wilf(), 5, 0, BIG), RangeError,
+         f"depth 5 is less than max_preperiod + 2*max_period = 2{TEN[1:]}"),
+    ],
+    ids=["cf-first", "cf-later", "digit", "row-entry", "decimal-result-entry",
+         "cf-result-entry", "find-period", "analysis-depth"],
+)
+def test_refusals_quote_ints_past_the_int_string_limit(call, error, message):
+    # each message quoted its value with str() and raised ValueError instead
+    with pytest.raises(error) as refused:
+        call()
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda n: calkin_wilf().take(n), "count"),
+        (lambda n: metallic(2).take(n), "count"),
+        (lambda n: convergents([1, 2], n), "count"),
+        (lambda n: convergents(metallic(2), n), "count"),
+        (lambda n: irrational_enumeration(n), "count"),
+        (lambda n: decimal_diagonal([], n), "depth"),
+        (lambda n: decimal_diagonal(map(digits_of, calkin_wilf()), n), "depth"),
+        (lambda n: cf_diagonal(map(metallic, range(1, 10)), n), "depth"),
+        (lambda n: verify_differs(DecimalDiagonalResult(0, (), ()), [], n), "depth"),
+    ],
+    ids=["take", "take-endless", "convergents", "convergents-endless", "irrationals", "diagonal",
+         "diagonal-endless", "cf-diagonal", "verify"],
+)
+@pytest.mark.parametrize("n", [sys.maxsize + 1, 2**70, BIG], ids=["maxsize+1", "2^70", "10^5000"])
+def test_counts_past_maxsize_are_refused(call, name, n):
+    # islice raised ValueError here; an endless pull would never have ended
+    with pytest.raises(RangeError, match=f"^{name} must be <= {sys.maxsize}$"):
+        call(n)
+
+
+def test_maxsize_itself_is_a_count():
+    with pytest.raises(RangeError, match=f"^count {sys.maxsize} exceeds the 2 available terms$"):
+        convergents([1, 2], sys.maxsize)
+    assert Stream([1, 2], "decimal").take(sys.maxsize) == [1, 2]
+    with pytest.raises(InputError, match=f"^need {sys.maxsize} rows, got 0$"):
+        decimal_diagonal([], sys.maxsize)
+
