@@ -218,7 +218,9 @@ def verify_differs(constructed, rows: Iterable, depth: int) -> VerifyResult:
     walked, never read through `entry`, so this stays independent of the
     construction; pass fresh streams. The walk is O(depth^2) items but
     only O(depth + depth^2/256) Python steps over `digits_of` rows, which
-    hand out 256 digits at a time. Depth 0 is vacuously true.
+    make and check 256 digits at a time and hand them out as one run,
+    and O(depth) over `metallic` rows, whose runs are one list each.
+    Depth 0 is vacuously true.
     """
     if not isinstance(constructed, (DecimalDiagonalResult, CFDiagonalResult)):
         raise InputError(f"constructed is not a diagonal result: {type(constructed).__name__}")

@@ -11,16 +11,19 @@ The package's own rows (`digits_of`, `metallic`, `named_cf_stream`)
 also answer `entry(k)`: item k computed directly, in O(log k) for a
 rational's digits and O(1) for the named quotient streams, without
 moving the position. Streams built from a bare iterable have no
-`entry` and can only be walked. A rational's digits are walked by long
-division 256 digits at a time, so walking k digits takes O(1 + k/256)
-Python steps; `take` moves the digits themselves in C.
+`entry` and can only be walked. Every stream checks each run as it
+pulls it, except the `digits_of` and `metallic` rows, which check their
+items where they make them. A rational's digits are long-divided 256
+at a time, each block checked by one C pass, and `take` joins and
+slices the blocks as bytes, so walking k digits takes O(1 + k/256)
+Python steps and none per digit. A metallic row's run of n is
+`[k] * n`, its k checked once when the row is built.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .continued_fraction import _check_quotients
@@ -80,14 +83,16 @@ class Stream:
     "cf" (partial quotients a_0 >= 0, a_1, ... >= 1). `take(n)` pulls a
     run of up to n items and checks it once; a run that fails is not
     handed out and leaves the position where it was. `next()` does the
-    same for one item.
+    same for one item. The package's own `digits_of` and `metallic` rows
+    check each item once where they make it, so their runs are handed
+    out without a second check.
 
     Given `at`, the stream also answers `entry(k)`: item k from `at(k)`,
     under the same check, with the position left alone. Without `at` it
     has no `entry` attribute.
     """
 
-    __slots__ = ("_items", "kind", "first_index", "_check", "_at", "position")
+    __slots__ = ("_items", "_run", "kind", "first_index", "_check", "_at", "position")
 
     def __init__(self, items: Iterable, kind: str, at: Callable[[int], int] | None = None):
         try:
@@ -95,6 +100,7 @@ class Stream:
         except KeyError:
             raise DomainError(f"unknown kind: {kind!r}") from None
         self._items = iter(items)
+        self._run = None  # or, on a package row, n -> its next n items, already checked
         self.kind = kind
         self._at = at
         self.position = 0
@@ -118,21 +124,36 @@ class Stream:
         return self
 
     def __next__(self):
-        item = next(self._items)
-        self._check(self.first_index + self.position, (item,))
+        if self._run is not None:
+            (item,) = self._run(1)
+        else:
+            item = next(self._items)
+            self._check(self.first_index + self.position, (item,))
         self.position += 1
         return item
 
     def take(self, n: int) -> list:
         """The next n items (none for n <= 0); fewer only where the stream ends."""
         _check_count("count", n)
-        run = list(itertools.islice(self._items, max(n, 0)))
-        self._check(self.first_index + self.position, run)
+        n = max(n, 0)
+        if self._run is not None:
+            run = self._run(n)
+        else:
+            run = list(itertools.islice(self._items, n))
+            self._check(self.first_index + self.position, run)
         self.position += len(run)
         return run
 
     def __repr__(self) -> str:
         return f"Stream({self.kind!r}, position={self.position})"
+
+
+def _row(run: Callable[[int], list], kind: str, at: Callable[[int], int]) -> Stream:
+    # a package row: run(n) makes its next n items (it never ends) and
+    # checks them as it makes them
+    row = Stream((), kind, at)
+    row._run = run
+    return row
 
 
 def calkin_wilf() -> Stream:
@@ -156,35 +177,43 @@ def calkin_wilf() -> Stream:
 def digits_of(x: Rational) -> Stream:
     """The fractional decimal digits of x >= 0; trailing zeros run forever.
 
-    The walk is long division in blocks of 256 digits, so a first
-    `take(k)` costs O(1 + k/256) Python steps and divides out exactly
-    256 * ceil(k/256) digits: no block starts before a digit of it is
-    pulled. `entry(k)` is `digit_at`'s modular power, independent of
-    the walk.
+    The walk is long division in blocks of 256 digits, each checked once
+    as it is made, so a first `take(k)` costs O(1 + k/256) Python steps
+    and divides out exactly 256 * ceil(k/256) digits: no block starts
+    before a digit of it is pulled. `entry(k)` is `digit_at`'s modular
+    power, independent of the walk.
     """
     if x.numerator < 0:
         raise DomainError("negative input")
+    rem, den = x.numerator % x.denominator, x.denominator
+    ahead = b""  # digits divided out but not yet handed out
 
-    def blocks() -> Iterator[bytes]:
-        # long division _BLOCK digits at a time, which `take` moves in C.
+    def run(n: int) -> list[int]:
         # `expand` divides a count known in advance, the last block short;
-        # a generator shared with it made small expansions slower. The
-        # block's quotient is dropped before the yield, so the frame holds
-        # no big int between pulls
-        rem, den = x.numerator % x.denominator, x.denominator
-        while True:
-            block, rem = divmod(rem * _SCALE, den)
-            block = str(block).zfill(_BLOCK).encode().translate(_DIGIT_VALUES)
-            yield block
+        # code shared with it made small expansions slower
+        nonlocal rem, ahead
+        if n > len(ahead):
+            blocks = [ahead]
+            for _ in range((n - len(ahead) + _BLOCK - 1) // _BLOCK):
+                block, rem = divmod(rem * _SCALE, den)
+                block = str(block).zfill(_BLOCK).encode().translate(_DIGIT_VALUES)
+                if block.translate(None, _DIGITS):  # not a run of digits 0..9
+                    _check_digits(0, block)
+                blocks.append(block)
+            ahead = b"".join(blocks)
+        out, ahead = ahead[:n], ahead[n:]
+        return list(out)
 
-    return Stream(itertools.chain.from_iterable(blocks()), "decimal", at=partial(digit_at, x))
+    return _row(run, "decimal", lambda k: digit_at(x, k))
 
 
 def metallic(k: int) -> Stream:
-    """[k; k, k, k, ...]; k = 1 is the golden ratio."""
+    """[k; k, k, k, ...]; k = 1 is the golden ratio. k is checked here, once."""
     if k < 1:
         raise DomainError("metallic index must be >= 1")
-    return Stream(itertools.repeat(k), "cf", at=lambda _: k)
+    if type(k) is not int:  # an int >= 1 passes the quotient rule; the rule refuses
+        _check_quotients(1, (k,))  # anything else with its own message
+    return _row([k].__mul__, "cf", lambda _: k)  # run(n) is [k] * n
 
 
 def _e_quotients() -> Iterator[int]:

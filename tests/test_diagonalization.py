@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diagcf import enumeration
 from diagcf import (
     CFDiagonalFailure,
     CFDiagonalResult,
@@ -301,6 +302,22 @@ class TestRandomAccessRows:
         built = decimal_diagonal(cw_digit_rows(20), 20)
         fresh = [Stream(digits_of(v), "decimal", at=refuse) for v in calkin_wilf().take(20)]
         assert verify_differs(built, fresh, 20) == (True, None)
+
+    def test_verify_never_reaches_digit_at(self, monkeypatch):
+        def refuse(x, k):
+            raise AssertionError("verify_differs reached digit_at")
+
+        built = decimal_diagonal(cw_digit_rows(600), 600)
+        monkeypatch.setattr(enumeration, "digit_at", refuse)
+        assert verify_differs(built, cw_digit_rows(600), 600) == (True, None)
+
+    def test_verify_never_calls_entry_on_metallic_rows(self, monkeypatch):
+        def refuse(row):
+            raise AssertionError("verify_differs read a metallic row through entry")
+
+        built = cf_diagonal(irrational_enumeration(300), 300)
+        monkeypatch.setattr(Stream, "entry", property(refuse))
+        assert verify_differs(built, irrational_enumeration(300), 300) == (True, None)
 
 
 def long_division_row(x):

@@ -105,7 +105,7 @@ class TestDigitsOf:
     def test_stream_invariant_enforced(self):
         s = Stream(iter([3, 12]), "decimal")
         assert next(s) == 3
-        with pytest.raises(DomainError, match="digit out of range"):
+        with pytest.raises(DomainError, match="^digit out of range: 12$"):
             next(s)
 
     @given(
@@ -225,6 +225,59 @@ class TestBlockWalk:
         assert done.stdout == "[0, 0, 0, 0, 0] True\n[0, 0, 0, 0, 0] True\n"
 
 
+# walk steps: take(n) with n from -2 to 700, across the 256-digit block
+# edges, next(), or entry(k) at k = max(i, the first index)
+walk_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("take"),
+            st.integers(-2, 700) | st.sampled_from((-2, 0, 1, 255, 256, 257, 511, 512, 513)),
+        ),
+        st.tuples(st.just("next"), st.none()),
+        st.tuples(st.just("entry"), st.integers(0, 2000)),
+    ),
+    max_size=12,
+)
+package_rows = st.one_of(
+    walk_values.map(lambda x: (digits_of, x, long_division)),
+    st.integers(1, 10**30).map(lambda k: (metallic, k, itertools.repeat)),
+)
+
+
+class TestRunPath:
+    """The package's rows make and check their runs in place; any mix of
+    take, next and entry reads what the reference walk does."""
+
+    @settings(deadline=None)
+    @given(package_rows, walk_steps)
+    def test_any_mix_of_steps_reads_the_reference_walk(self, row, steps):
+        make, value, walk = row
+        stream, reference = make(value), walk(value)
+        seen = []  # the reference walk's items so far
+
+        def item(i):
+            seen.extend(itertools.islice(reference, max(i + 1 - len(seen), 0)))
+            return seen[i]
+
+        position = 0
+        for step, n in steps:
+            if step == "take":
+                run = stream.take(n)
+                expected = [item(i) for i in range(position, position + max(n, 0))]
+                position += max(n, 0)
+            elif step == "next":
+                run = [next(stream)]
+                expected = [item(position)]
+                position += 1
+            else:
+                k = max(n, stream.first_index)
+                run = [stream.entry(k)]
+                expected = [item(k - stream.first_index)]
+            assert run == expected
+            assert all(type(a) is int for a in run)
+            assert stream.position == position
+
+
 class TestNamedStreams:
     def test_sqrt2(self):
         assert named_cf_stream("sqrt2").take(5) == [1, 2, 2, 2, 2]
@@ -287,6 +340,18 @@ class TestNamedStreams:
             metallic(0)
 
     @pytest.mark.parametrize(
+        "k, message",
+        [
+            (1.5, "partial quotient must be an integer, got 1.5"),
+            (Fraction(3), "partial quotient must be an integer, got Fraction(3, 1)"),
+            (0, "metallic index must be >= 1"),
+        ],
+    )
+    def test_metallic_refuses_a_bad_index_when_built(self, k, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            metallic(k)
+
+    @pytest.mark.parametrize(
         "name",
         ["metallic:+3", "metallic:1_0", "metallic: 3 ", "metallic:\N{ARABIC-INDIC DIGIT THREE}"],
     )
@@ -305,11 +370,11 @@ class TestNamedStreams:
 
     def test_stream_invariants_enforced(self):
         s = Stream(iter([-1]), "cf")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^first partial quotient must be >= 0, got -1$"):
             next(s)
         s = Stream(iter([1, 0]), "cf")
         next(s)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^partial quotient at index 1 must be >= 1, got 0$"):
             next(s)
 
     def test_sqrt2_squared_error_shrinks(self):
