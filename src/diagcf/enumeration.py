@@ -1,23 +1,17 @@
 """Sources feeding the diagonal constructions.
 
-One stream class, `Stream`, carries every source: the Calkin-Wilf
-enumeration of the positive rationals, the decimal digits of a
-rational, and the partial quotients of a few named irrationals. Its
-`kind` ("rational", "decimal" or "cf") fixes the first index and the
-check each item must pass. Streams are pull-based, single-consumer and
-carry an explicit position; rewinding means recreating the stream.
+`Stream` carries every source: the Calkin-Wilf enumeration of the
+positive rationals, the decimal digits of a rational, and the partial
+quotients of a few named irrationals. Its `kind` ("rational", "decimal"
+or "cf") fixes the first index and the check each item must pass.
+Streams are pull-based, single-consumer and carry an explicit position;
+rewinding means recreating the stream.
 
-The package's own rows (`digits_of`, `metallic`, `named_cf_stream`)
-also answer `entry(k)`: item k computed directly, in O(log k) for a
-rational's digits and O(1) for the named quotient streams, without
-moving the position. Streams built from a bare iterable have no
-`entry` and can only be walked. Every stream checks each run as it
-pulls it, except the `digits_of` and `metallic` rows, which check their
-items where they make them. A rational's digits are long-divided 256
-at a time, each block checked by one C pass, and `take` joins and
-slices the blocks as bytes, so walking k digits takes O(1 + k/256)
-Python steps and none per digit. A metallic row's run of n is
-`[k] * n`, its k checked once when the row is built.
+The rows of `digits_of` and `metallic` are two small `Stream`
+subclasses, checked once when built, whose runs and `entry(k)` hand
+out items with no second check; a stream over a bare iterable checks
+each run it pulls. A rational's digits are long-divided 256 at a time,
+so walking k digits takes O(1 + k/256) Python steps.
 """
 
 from __future__ import annotations
@@ -78,21 +72,18 @@ KINDS = {
 class Stream:
     """Single-consumer iterator of one kind of item, with a position counter.
 
-    `kind` is "rational" (positive rationals, no check), "decimal"
-    (fractional digits d_1, d_2, ... in 0..9) or
-    "cf" (partial quotients a_0 >= 0, a_1, ... >= 1). `take(n)` pulls a
-    run of up to n items and checks it once; a run that fails is not
-    handed out and leaves the position where it was. `next()` does the
-    same for one item. The package's own `digits_of` and `metallic` rows
-    check each item once where they make it, so their runs are handed
-    out without a second check.
-
-    Given `at`, the stream also answers `entry(k)`: item k from `at(k)`,
-    under the same check, with the position left alone. Without `at` it
-    has no `entry` attribute.
+    `kind` is "rational" (positive rationals, no check), "decimal" (digits
+    d_1, d_2, ... in 0..9) or "cf" (partial quotients a_0 >= 0, a_1, ...
+    >= 1). `take(n)` and `next()` pull a run of up to n items, or one, and
+    check it once; a run that fails is not handed out and leaves the
+    position where it was. Given `at`, the stream also answers `entry(k)`,
+    item k from `at(k)` under the same check, without moving; without
+    `at` it has no `entry`. The `digits_of` and `metallic` rows are
+    subclasses, checked once when built, that never check a run or an
+    entry again.
     """
 
-    __slots__ = ("_items", "_run", "kind", "first_index", "_check", "_at", "position")
+    __slots__ = ("_items", "kind", "first_index", "_check", "_at", "position")
 
     def __init__(self, items: Iterable, kind: str, at: Callable[[int], int] | None = None):
         try:
@@ -100,7 +91,6 @@ class Stream:
         except KeyError:
             raise DomainError(f"unknown kind: {kind!r}") from None
         self._items = iter(items)
-        self._run = None  # or, on a package row, n -> its next n items, already checked
         self.kind = kind
         self._at = at
         self.position = 0
@@ -113,34 +103,30 @@ class Stream:
 
     def _entry(self, k: int) -> int:
         if k < self.first_index:
-            raise DomainError(
-                f"entry index must be >= {self.first_index}, got {_digits_of_int(k)}"
-            )
+            raise DomainError(f"entry index must be >= {self.first_index}, got {_digits_of_int(k)}")
         value = self._at(k)
         self._check(k, (value,))
         return value
+
+    def _pull(self, n: int) -> list:
+        # the next n items, fewer where the iterable ends, checked as one run
+        run = list(itertools.islice(self._items, n))
+        self._check(self.first_index + self.position, run)
+        return run
 
     def __iter__(self):
         return self
 
     def __next__(self):
-        if self._run is not None:
-            (item,) = self._run(1)
-        else:
-            item = next(self._items)
-            self._check(self.first_index + self.position, (item,))
-        self.position += 1
-        return item
+        for item in self._pull(1):
+            self.position += 1
+            return item
+        raise StopIteration
 
     def take(self, n: int) -> list:
         """The next n items (none for n <= 0); fewer only where the stream ends."""
         _check_count("count", n)
-        n = max(n, 0)
-        if self._run is not None:
-            run = self._run(n)
-        else:
-            run = list(itertools.islice(self._items, n))
-            self._check(self.first_index + self.position, run)
+        run = self._pull(max(n, 0))
         self.position += len(run)
         return run
 
@@ -148,12 +134,61 @@ class Stream:
         return f"Stream({self.kind!r}, position={self.position})"
 
 
-def _row(run: Callable[[int], list], kind: str, at: Callable[[int], int]) -> Stream:
-    # a package row: run(n) makes its next n items (it never ends) and
-    # checks them as it makes them
-    row = Stream((), kind, at)
-    row._run = run
-    return row
+class _DigitRow(Stream):
+    __slots__ = ("_x", "_rem", "_den", "_ahead")  # _ahead: digits made, not yet handed out
+    kind, first_index = "decimal", 1  # fixed, so neither row calls Stream.__init__
+
+    def __init__(self, x: Rational):
+        num, den = x.numerator, x.denominator
+        if num < 0:
+            raise DomainError("negative input")
+        if type(num) is not int or type(den) is not int:  # numpy ints overflow
+            raise DomainError(
+                f"x must be an int over an int, got {type(num).__name__}/{type(den).__name__}"
+            )
+        self._x, self._rem, self._den, self._ahead = x, num % den, den, b""
+        self.position = 0
+
+    def entry(self, k: int) -> int:
+        if k < 1:
+            raise DomainError(f"entry index must be >= 1, got {_digits_of_int(k)}")
+        return digit_at(self._x, k)
+
+    def _pull(self, n: int) -> list[int]:
+        # not `expand`'s loop, which knows its count and cuts the last block: sharing was slower
+        ahead = self._ahead
+        if n > len(ahead):
+            rem, den, blocks = self._rem, self._den, [ahead]
+            for _ in range((n - len(ahead) + _BLOCK - 1) // _BLOCK):
+                block, rem = divmod(rem * _SCALE, den)
+                block = str(block).zfill(_BLOCK).encode().translate(_DIGIT_VALUES)
+                if block.translate(None, _DIGITS):  # not a run of digits 0..9
+                    _check_digits(0, block)
+                blocks.append(block)
+            self._rem, ahead = rem, b"".join(blocks)
+        self._ahead = ahead[n:]
+        return list(ahead[:n])
+
+
+class _MetallicRow(Stream):
+    __slots__ = ("_k",)
+    kind, first_index = "cf", 0
+
+    def __init__(self, k: int):
+        if k < 1:
+            raise DomainError("metallic index must be >= 1")
+        if type(k) is not int:  # an int >= 1 passes the quotient rule; the rule refuses
+            _check_quotients(1, (k,))  # anything else with its own message
+        self._k = k
+        self.position = 0
+
+    def entry(self, k: int) -> int:
+        if k < 0:
+            raise DomainError(f"entry index must be >= 0, got {_digits_of_int(k)}")
+        return self._k
+
+    def _pull(self, n: int) -> list[int]:
+        return [self._k] * n
 
 
 def calkin_wilf() -> Stream:
@@ -175,45 +210,18 @@ def calkin_wilf() -> Stream:
 
 
 def digits_of(x: Rational) -> Stream:
-    """The fractional decimal digits of x >= 0; trailing zeros run forever.
+    """The fractional decimal digits of x >= 0, an int over an int, without end.
 
-    The walk is long division in blocks of 256 digits, each checked once
-    as it is made, so a first `take(k)` costs O(1 + k/256) Python steps
-    and divides out exactly 256 * ceil(k/256) digits: no block starts
-    before a digit of it is pulled. `entry(k)` is `digit_at`'s modular
-    power, independent of the walk.
+    The walk long-divides 256 digits at a time, each block checked as made,
+    so a first `take(k)` takes O(1 + k/256) Python steps and 256 *
+    ceil(k/256) digits; `entry(k)` is `digit_at`, independent of the walk.
     """
-    if x.numerator < 0:
-        raise DomainError("negative input")
-    rem, den = x.numerator % x.denominator, x.denominator
-    ahead = b""  # digits divided out but not yet handed out
-
-    def run(n: int) -> list[int]:
-        # `expand` divides a count known in advance, the last block short;
-        # code shared with it made small expansions slower
-        nonlocal rem, ahead
-        if n > len(ahead):
-            blocks = [ahead]
-            for _ in range((n - len(ahead) + _BLOCK - 1) // _BLOCK):
-                block, rem = divmod(rem * _SCALE, den)
-                block = str(block).zfill(_BLOCK).encode().translate(_DIGIT_VALUES)
-                if block.translate(None, _DIGITS):  # not a run of digits 0..9
-                    _check_digits(0, block)
-                blocks.append(block)
-            ahead = b"".join(blocks)
-        out, ahead = ahead[:n], ahead[n:]
-        return list(out)
-
-    return _row(run, "decimal", lambda k: digit_at(x, k))
+    return _DigitRow(x)
 
 
 def metallic(k: int) -> Stream:
     """[k; k, k, k, ...]; k = 1 is the golden ratio. k is checked here, once."""
-    if k < 1:
-        raise DomainError("metallic index must be >= 1")
-    if type(k) is not int:  # an int >= 1 passes the quotient rule; the rule refuses
-        _check_quotients(1, (k,))  # anything else with its own message
-    return _row([k].__mul__, "cf", lambda _: k)  # run(n) is [k] * n
+    return _MetallicRow(k)
 
 
 def _e_quotients() -> Iterator[int]:
@@ -246,9 +254,7 @@ def named_cf_stream(name: str) -> Stream:
     """Fresh stream for sqrt2, e, phi, pi or metallic:<k>."""
     key = name.strip().lower()
     if key == "sqrt2":
-        return Stream(
-            itertools.chain([1], itertools.repeat(2)), "cf", at=lambda k: 1 if k == 0 else 2
-        )
+        return Stream(itertools.chain([1], itertools.repeat(2)), "cf", at=lambda k: 2 if k else 1)
     if key == "e":
         return Stream(_e_quotients(), "cf", at=_e_quotient)
     if key == "phi":

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import os
@@ -20,7 +21,9 @@ from diagcf import (
     RangeError,
     Stream,
     calkin_wilf,
+    cf_diagonal,
     convergents,
+    decimal_diagonal,
     digit_at,
     digits_of,
     expand,
@@ -278,6 +281,80 @@ class TestRunPath:
             assert stream.position == position
 
 
+class TestPackageRowContract:
+    """`digits_of` and `metallic` rows are Streams checked once when built;
+    their runs and `entry` hand out items with no second check."""
+
+    def test_good_rows_never_reach_a_check(self, monkeypatch):
+        decimal = decimal_diagonal(map(digits_of, calkin_wilf()), 300)
+        cf = cf_diagonal(irrational_enumeration(300), 300)
+
+        def fail(index, run):
+            raise AssertionError("a package row checked its items again")
+
+        monkeypatch.setattr(enumeration, "_check_digits", fail)
+        monkeypatch.setattr(enumeration, "_check_quotients", fail)
+        monkeypatch.setitem(enumeration.KINDS, "decimal", (1, fail))
+        monkeypatch.setitem(enumeration.KINDS, "cf", (0, fail))
+        sevenths, third = digits_of(Fraction(1, 7)), metallic(3)
+        assert sevenths.entry(300) == 7 and third.entry(300) == 3
+        assert next(sevenths) == 1 and next(third) == 3
+        assert sevenths.take(600)[:5] == [4, 2, 8, 5, 7] and third.take(600) == [3] * 600
+        assert (sevenths.position, third.position) == (601, 601)
+        assert decimal_diagonal(map(digits_of, calkin_wilf()), 300) == decimal
+        assert cf_diagonal(irrational_enumeration(300), 300) == cf
+
+    @settings(deadline=None)
+    @given(walk_values, st.integers(1, 3000))
+    def test_digit_entry_is_digit_at_and_the_walk(self, x, k):
+        got = digits_of(x).entry(k)
+        assert type(got) is int
+        assert got == digit_at(x, k) == next(itertools.islice(long_division(x), k - 1, None))
+
+    @given(st.integers(1, 10**30), st.integers(0, 10**6))
+    def test_metallic_entry_is_k(self, k, j):
+        got = metallic(k).entry(j)
+        assert type(got) is int and got == k
+
+    @pytest.mark.parametrize("numpy_parts", ["numerator", "denominator", "both"])
+    def test_numpy_parts_refused_when_built(self, numpy_parts):
+        # entry used to raise TypeError from pow, and take OverflowError
+        numpy = pytest.importorskip("numpy")
+        p, q = 1, 7
+        if numpy_parts != "denominator":
+            p = numpy.int64(p)
+        if numpy_parts != "numerator":
+            q = numpy.int64(q)
+        x = Fraction(p, q)
+        names = tuple(type(v).__name__ for v in (x.numerator, x.denominator))
+        assert "int64" in names
+        message = rf"^x must be an int over an int, got {names[0]}/{names[1]}$"
+        for read in (lambda row: row.entry(3), lambda row: row.take(3)):
+            with pytest.raises(DomainError, match=message):
+                read(digits_of(x))
+        with pytest.raises(DomainError, match=message):
+            decimal_diagonal(map(digits_of, [x]), 1)
+
+    def test_bool_and_int_values(self):
+        assert digits_of(True).take(3) == [0, 0, 0] and digits_of(True).entry(5) == 0
+        assert digits_of(7).entry(2) == 0 and type(digits_of(7).entry(2)) is int
+        assert decimal_diagonal(map(digits_of, [True, 3, 0]), 3).digits == (5, 5, 5)
+
+    def test_rows_allocate_at_most_two_gc_objects_each(self):
+        # a row is one slotted object: no closures, cells or iterators
+        values, ks = [Fraction(p, 7) for p in range(1000)], list(range(1, 1001))
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            rows = [digits_of(x) for x in values] + [metallic(k) for k in ks]
+            grown = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert len(rows) == 2000
+        assert grown <= 2 * len(rows)
+
+
 class TestNamedStreams:
     def test_sqrt2(self):
         assert named_cf_stream("sqrt2").take(5) == [1, 2, 2, 2, 2]
@@ -502,11 +579,12 @@ class TestStream:
 
     def test_descriptions_and_reprs(self):
         sevenths, third = digits_of(Fraction(1, 7)), metallic(3)
+        assert isinstance(sevenths, Stream) and isinstance(third, Stream)
         assert repr(sevenths) == "Stream('decimal', position=0)"
         assert repr(third) == "Stream('cf', position=0)"
         sevenths.take(3)
         assert repr(sevenths) == "Stream('decimal', position=3)"
-        assert not hasattr(sevenths, "__dict__")  # slotted
+        assert not hasattr(sevenths, "__dict__") and not hasattr(third, "__dict__")  # slotted
 
     def test_numpy_digits_refused(self):
         # bytes() takes numpy ints as they are int-likes; the sum test refuses them
