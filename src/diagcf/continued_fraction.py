@@ -156,9 +156,9 @@ def convergents(source, count: int) -> list[Convergent]:
     Uses the standard recurrence h_k = a_k*h_{k-1} + h_{k-2} (same for
     k_k); consecutive values are automatically coprime.
     """
+    _check_count("count", count)
     if count < 1:
         raise RangeError("count must be >= 1")
-    _check_count("count", count)
     # only the first `count` quotients are pulled, and they pass the quotient rule
     quotients = _quotients(itertools.islice(source, count))
     if len(quotients) < count:

@@ -25,7 +25,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, RangeError
-from .exact_numbers import Rational, _digits_of_int, _int_from_digits, _is_digits, to_string
+from .exact_numbers import (
+    Rational, _check_index, _digits_of_int, _int_from_digits, _is_digits, to_string,
+)
 
 __all__ = (
     "DecimalExpansion", "PeriodReport", "digit_at", "expand",
@@ -216,8 +218,8 @@ def digit_at(x: Rational, j: int) -> int:
     """
     if x.numerator < 0:
         raise DomainError("negative input")
-    if j < 1:
-        raise DomainError("digit position must be >= 1")
+    if type(j) is not int or j < 1:
+        j = _check_index("digit position", j, 1)
     num, den = x.numerator, x.denominator
     return (num * pow(10, j, 10 * den)) % (10 * den) // den
 

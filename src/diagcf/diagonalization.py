@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .continued_fraction import ContinuedFraction, from_rational
 from .enumeration import Stream, digits_of
 from .errors import DomainError, InputError, RangeError
-from .exact_numbers import Rational, _check_count, _digits_of_int
+from .exact_numbers import Rational, _check_count, _check_index, _digits_of_int
 
 __all__ = (
     "CFDiagonalFailure", "CFDiagonalResult", "DecimalDiagonalResult",
@@ -49,8 +49,8 @@ class DecimalDiagonalResult(NamedTuple):
     labels = ("d_kk", "d_0k")
 
     def entry(self, position: int) -> int:
-        if position < 1:  # a row's index rule; IndexError past the end
-            raise DomainError(f"entry index must be >= 1, got {_digits_of_int(position)}")
+        if type(position) is not int or position < 1:  # a row's rule; IndexError past the end
+            position = _check_index("entry index", position, 1)
         return self.digits[position - 1]
 
     def __str__(self) -> str:
@@ -67,8 +67,8 @@ class CFDiagonalResult(NamedTuple):
     labels = ("a_kk", "a_0k")
 
     def entry(self, position: int) -> int:
-        if position < 0:  # a row's index rule; IndexError past the end
-            raise DomainError(f"entry index must be >= 0, got {_digits_of_int(position)}")
+        if type(position) is not int or position < 0:  # a row's rule; IndexError past the end
+            position = _check_index("entry index", position, 0)
         return self.terms[position]
 
     def as_continued_fraction(self) -> ContinuedFraction:
@@ -132,11 +132,12 @@ class RationalDiagonalReport(NamedTuple):
         return tuple(r for r in self.rulings if not r.consistent)
 
 
-def _rows(rows: Iterable, depth: int, kind: str) -> Iterator[tuple[int, Stream]]:
-    # (k, row k) for k = 1..depth, one row pulled per position so that none is
-    # held once read; a bare iterable is wrapped once, so every row passes its
-    # kind's check
+def _rows(rows: Iterable, depth: int, kind: str, least: int) -> Iterator[tuple[int, Stream]]:
+    # (k, row k) for k = 1..depth, depth checked first; one row is pulled per position and
+    # none is held once read, and a bare iterable is wrapped once to pass its kind's check
     _check_count("depth", depth)
+    if depth < least:
+        raise DomainError(f"depth must be >= {least}")
     k = 0
     for k, row in zip(range(1, depth + 1), rows):
         if not isinstance(row, Stream):
@@ -175,11 +176,9 @@ def _check_shape(max_preperiod: int, max_period: int, depth: int) -> None:
 
 def _diagonal(rows: Iterable, depth: int, kind: str, rule):
     # a row with `entry` is read at position k directly, any other is walked
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
     built: list[int] = []
     witnesses: list[DiagonalWitness] = []
-    for k, row in _rows(rows, depth, kind):
+    for k, row in _rows(rows, depth, kind, 1):
         entry = getattr(row, "entry", None)
         x_kk = entry(k) if entry is not None else _nth_entry(row, k)
         built.append(rule(x_kk))
@@ -224,9 +223,7 @@ def verify_differs(constructed, rows: Iterable, depth: int) -> VerifyResult:
     """
     if not isinstance(constructed, (DecimalDiagonalResult, CFDiagonalResult)):
         raise InputError(f"constructed is not a diagonal result: {type(constructed).__name__}")
-    if depth < 0:
-        raise DomainError("depth must be >= 0")
-    for k, row in _rows(rows, depth, constructed.kind):
+    for k, row in _rows(rows, depth, constructed.kind, 0):
         row_entry = _nth_entry(row, k)
         try:
             built = constructed.entry(k)

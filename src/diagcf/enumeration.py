@@ -7,11 +7,12 @@ or "cf") fixes the first index and the check each item must pass.
 Streams are pull-based, single-consumer and carry an explicit position;
 rewinding means recreating the stream.
 
-The rows of `digits_of` and `metallic` are two small `Stream`
-subclasses, checked once when built, whose runs and `entry(k)` hand
-out items with no second check; a stream over a bare iterable checks
-each run it pulls. A rational's digits are long-divided 256 at a time,
-so walking k digits takes O(1 + k/256) Python steps.
+The package's rows (`digits_of`, `metallic` and the named streams) are
+small `Stream` subclasses, checked once when built, whose runs and
+`entry(k)` hand out items with no second check; a stream over an outside
+iterable has no `entry`, is walked, and checks each run it pulls. A
+rational's digits are long-divided 256 at a time, so walking k digits
+takes O(1 + k/256) Python steps.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .continued_fraction import _check_quotients
 from .decimal_expansion import _BLOCK, _SCALE, digit_at
 from .errors import DomainError, RangeError
-from .exact_numbers import Rational, _check_count, _digits_of_int, _int_from_digits, _is_digits
+from .exact_numbers import (
+    Rational, _check_count, _check_index, _digits_of_int, _int_from_digits, _is_digits,
+)
 
 __all__ = (
     "PI_PARTIAL_QUOTIENTS", "Stream", "calkin_wilf", "digits_of",
@@ -76,37 +79,20 @@ class Stream:
     d_1, d_2, ... in 0..9) or "cf" (partial quotients a_0 >= 0, a_1, ...
     >= 1). `take(n)` and `next()` pull a run of up to n items, or one, and
     check it once; a run that fails is not handed out and leaves the
-    position where it was. Given `at`, the stream also answers `entry(k)`,
-    item k from `at(k)` under the same check, without moving; without
-    `at` it has no `entry`. The `digits_of` and `metallic` rows are
-    subclasses, checked once when built, that never check a run or an
-    entry again.
+    position where it was. A bare `Stream` is only walked and has no
+    `entry`; the package's rows are subclasses that answer `entry(k)`.
     """
 
-    __slots__ = ("_items", "kind", "first_index", "_check", "_at", "position")
+    __slots__ = ("_items", "kind", "first_index", "_check", "position")
 
-    def __init__(self, items: Iterable, kind: str, at: Callable[[int], int] | None = None):
+    def __init__(self, items: Iterable, kind: str):
         try:
             self.first_index, self._check = KINDS[kind]
         except KeyError:
             raise DomainError(f"unknown kind: {kind!r}") from None
         self._items = iter(items)
         self.kind = kind
-        self._at = at
         self.position = 0
-
-    @property
-    def entry(self) -> Callable[[int], int]:
-        if self._at is None:  # so that hasattr() and getattr() see no `entry`
-            raise AttributeError("Stream without random access has no entry")
-        return self._entry
-
-    def _entry(self, k: int) -> int:
-        if k < self.first_index:
-            raise DomainError(f"entry index must be >= {self.first_index}, got {_digits_of_int(k)}")
-        value = self._at(k)
-        self._check(k, (value,))
-        return value
 
     def _pull(self, n: int) -> list:
         # the next n items, fewer where the iterable ends, checked as one run
@@ -136,7 +122,7 @@ class Stream:
 
 class _DigitRow(Stream):
     __slots__ = ("_x", "_rem", "_den", "_ahead")  # _ahead: digits made, not yet handed out
-    kind, first_index = "decimal", 1  # fixed, so neither row calls Stream.__init__
+    kind, first_index = "decimal", 1  # fixed, so no package row calls Stream.__init__
 
     def __init__(self, x: Rational):
         num, den = x.numerator, x.denominator
@@ -150,8 +136,8 @@ class _DigitRow(Stream):
         self.position = 0
 
     def entry(self, k: int) -> int:
-        if k < 1:
-            raise DomainError(f"entry index must be >= 1, got {_digits_of_int(k)}")
+        if type(k) is not int or k < 1:
+            k = _check_index("entry index", k, 1)
         return digit_at(self._x, k)
 
     def _pull(self, n: int) -> list[int]:
@@ -183,12 +169,29 @@ class _MetallicRow(Stream):
         self.position = 0
 
     def entry(self, k: int) -> int:
-        if k < 0:
-            raise DomainError(f"entry index must be >= 0, got {_digits_of_int(k)}")
+        if type(k) is not int or k < 0:
+            k = _check_index("entry index", k, 0)
         return self._k
 
     def _pull(self, n: int) -> list[int]:
         return [self._k] * n
+
+
+class _NamedRow(Stream):
+    __slots__ = ("_quotient",)  # a(k): quotient k, in closed form
+    kind, first_index = "cf", 0
+
+    def __init__(self, quotient: Callable[[int], int]):
+        self._quotient = quotient
+        self.position = 0
+
+    def entry(self, k: int) -> int:
+        if type(k) is not int or k < 0:
+            k = _check_index("entry index", k, 0)
+        return self._quotient(k)
+
+    def _pull(self, n: int) -> list[int]:
+        return list(map(self._quotient, range(self.position, self.position + n)))
 
 
 def calkin_wilf() -> Stream:
@@ -224,18 +227,8 @@ def metallic(k: int) -> Stream:
     return _MetallicRow(k)
 
 
-def _e_quotients() -> Iterator[int]:
-    yield 2
-    m = 1
-    while True:
-        yield 1
-        yield 2 * m
-        yield 1
-        m += 1
-
-
 def _e_quotient(k: int) -> int:
-    # the walk above, in closed form: a_k = 2(k+1)/3 when k = 2 (mod 3)
+    # e = [2; 1, 2, 1, 1, 4, 1, 1, 6, ...]: a_k = 2(k+1)/3 when k = 2 (mod 3)
     if k == 0:
         return 2
     return 2 * (k + 1) // 3 if k % 3 == 2 else 1
@@ -250,17 +243,16 @@ def _pi_quotient(k: int) -> int:
     )
 
 
+_CLOSED_FORMS = {"sqrt2": lambda k: 2 if k else 1, "e": _e_quotient, "pi": _pi_quotient}
+
+
 def named_cf_stream(name: str) -> Stream:
     """Fresh stream for sqrt2, e, phi, pi or metallic:<k>."""
     key = name.strip().lower()
-    if key == "sqrt2":
-        return Stream(itertools.chain([1], itertools.repeat(2)), "cf", at=lambda k: 2 if k else 1)
-    if key == "e":
-        return Stream(_e_quotients(), "cf", at=_e_quotient)
+    if key in _CLOSED_FORMS:
+        return _NamedRow(_CLOSED_FORMS[key])
     if key == "phi":
         return metallic(1)
-    if key == "pi":
-        return Stream(map(_pi_quotient, itertools.count()), "cf", at=_pi_quotient)
     if key.startswith("metallic:"):
         index = key.removeprefix("metallic:")
         if not _is_digits(index):
@@ -271,7 +263,7 @@ def named_cf_stream(name: str) -> Stream:
 
 def irrational_enumeration(count: int) -> list[Stream]:
     """metallic(1), ..., metallic(count): pairwise distinct infinite streams."""
+    _check_count("count", count)
     if count < 1:
         raise DomainError("count must be >= 1")
-    _check_count("count", count)
     return [metallic(k) for k in range(1, count + 1)]

@@ -9,6 +9,8 @@ and the textual form used by the CLI.
 
 from __future__ import annotations
 
+import numbers
+import operator
 import sys
 from fractions import Fraction
 
@@ -62,9 +64,21 @@ def _digits_of_int(n: int) -> str:
 
 
 def _check_count(name: str, n: int) -> None:
-    # islice refuses a stop past sys.maxsize, and no list could hold that many
+    # an integer of any sign; islice refuses a stop past sys.maxsize, and no list holds that many
+    if type(n) is not int:
+        n = _check_index(name, n, float("-inf"))
     if n > sys.maxsize:
         raise RangeError(f"{name} must be <= {sys.maxsize}")
+
+
+def _check_index(name: str, k, first: float) -> int:
+    # k as an int where operator.index takes it (numpy ints too) and k >= first; else the refusal
+    if isinstance(k, numbers.Real) and k < first:  # a float or Fraction too
+        raise DomainError(f"{name} must be >= {first}, got {_digits_of_int(k)}")
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {k!r}") from None
 
 
 def make_rational(num: int, den: int) -> Rational:

@@ -124,8 +124,6 @@ class TestDigitsOf:
     def test_entry_checks(self):
         with pytest.raises(DomainError, match="entry index must be >= 1"):
             digits_of(Fraction(1, 3)).entry(0)
-        with pytest.raises(DomainError, match="digit out of range: 12"):
-            Stream(iter([]), "decimal", at=lambda k: 12).entry(1)
         assert not hasattr(Stream(itertools.repeat(5), "decimal"), "entry")
 
 
@@ -355,12 +353,38 @@ class TestPackageRowContract:
         assert grown <= 2 * len(rows)
 
 
+def e_quotients():
+    """e = [2; 1, 2, 1, 1, 4, 1, 1, 6, ...] as a walk: the reference for e's closed form."""
+    yield 2
+    m = 1
+    while True:
+        yield 1
+        yield 2 * m
+        yield 1
+        m += 1
+
+
 class TestNamedStreams:
     def test_sqrt2(self):
         assert named_cf_stream("sqrt2").take(5) == [1, 2, 2, 2, 2]
 
     def test_e_pattern(self):
         assert named_cf_stream("e").take(13) == [2, 1, 2, 1, 1, 4, 1, 1, 6, 1, 1, 8, 1]
+
+    def test_e_is_the_reference_walk(self):
+        reference = list(itertools.islice(e_quotients(), 10**4))
+        s = named_cf_stream("e")
+        assert [s.entry(k) for k in range(10**4)] == reference
+        assert s.take(7) + [next(s)] + s.take(10**4 - 8) == reference
+        assert named_cf_stream("e").take(10**4) == reference
+
+    def test_e_convergents(self):
+        # OEIS A007676 / A007677
+        assert [c.value for c in convergents(named_cf_stream("e"), 10)] == [
+            Fraction(2), Fraction(3), Fraction(8, 3), Fraction(11, 4), Fraction(19, 7),
+            Fraction(87, 32), Fraction(106, 39), Fraction(193, 71), Fraction(1264, 465),
+            Fraction(1457, 536),
+        ]
 
     def test_phi_and_metallic(self):
         assert named_cf_stream("phi").take(5) == [1, 1, 1, 1, 1]
@@ -393,10 +417,6 @@ class TestNamedStreams:
     def test_entry_checks(self):
         with pytest.raises(DomainError, match="entry index must be >= 0"):
             named_cf_stream("e").entry(-1)
-        with pytest.raises(DomainError, match="first partial quotient"):
-            Stream(iter([]), "cf", at=lambda k: -1).entry(0)
-        with pytest.raises(DomainError, match="at index 3 must be >= 1"):
-            Stream(iter([]), "cf", at=lambda k: 0).entry(3)
         assert not hasattr(Stream(itertools.repeat(2), "cf"), "entry")
 
     def test_fresh_stream_per_call(self):
@@ -546,8 +566,6 @@ class TestStream:
         with pytest.raises(DomainError, match=message):
             s.take(len(items))
         assert s.position == 0
-        with pytest.raises(DomainError, match=message):
-            Stream(iter([]), "cf", at=lambda k: items[-1]).entry(1)
 
     @pytest.mark.parametrize(
         "items, bad", [([3, 2.5], "2.5"), ([3.0], "3.0"), ([1, "2"], "'2'")]
@@ -559,8 +577,6 @@ class TestStream:
         with pytest.raises(DomainError, match=message):
             s.take(len(items))
         assert s.position == 0
-        with pytest.raises(DomainError, match=message):
-            Stream(iter([]), "decimal", at=lambda k: items[-1]).entry(1)
 
     def test_next_on_a_bad_item(self):
         # next() checks the item it pulls; a refused item does not advance
@@ -585,6 +601,17 @@ class TestStream:
         sevenths.take(3)
         assert repr(sevenths) == "Stream('decimal', position=3)"
         assert not hasattr(sevenths, "__dict__") and not hasattr(third, "__dict__")  # slotted
+        for name in ("sqrt2", "e", "pi"):
+            row = named_cf_stream(name)
+            assert isinstance(row, Stream) and not hasattr(row, "__dict__")
+            assert repr(row) == "Stream('cf', position=0)"
+            row.take(2)
+            assert repr(row) == "Stream('cf', position=2)"
+
+    def test_random_access_is_a_rows_own_method(self):
+        # Stream(items, kind) has no `at`: an outside row is walked
+        with pytest.raises(TypeError):
+            Stream(iter([]), "cf", at=lambda k: 1)
 
     def test_numpy_digits_refused(self):
         # bytes() takes numpy ints as they are int-likes; the sum test refuses them
@@ -598,8 +625,6 @@ class TestStream:
         assert next(s) == 1
         with pytest.raises(DomainError, match=message):
             next(s)
-        with pytest.raises(DomainError, match=message):
-            Stream(iter([]), "decimal", at=lambda k: numpy.int64(3)).entry(1)
 
     def test_numpy_quotients_that_overflow_the_sum_refused(self):
         # the sum of two int64 2**62 overflows; under -W error numpy raises

@@ -1,9 +1,12 @@
+import itertools
 import math
+import operator
+import re
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from diagcf import exact_numbers
 from diagcf import (
@@ -18,12 +21,14 @@ from diagcf import (
     cf_diagonal,
     convergents,
     decimal_diagonal,
+    digit_at,
     digits_of,
     expand,
     find_period_at_least,
     irrational_enumeration,
     make_rational,
     metallic,
+    named_cf_stream,
     parse_cf,
     parse_expansion,
     parse_rational,
@@ -177,27 +182,87 @@ def test_refusals_quote_ints_past_the_int_string_limit(call, error, message):
     assert str(refused.value) == message
 
 
-@pytest.mark.parametrize(
-    "call, name",
-    [
-        (lambda n: calkin_wilf().take(n), "count"),
-        (lambda n: metallic(2).take(n), "count"),
-        (lambda n: convergents([1, 2], n), "count"),
-        (lambda n: convergents(metallic(2), n), "count"),
-        (lambda n: irrational_enumeration(n), "count"),
-        (lambda n: decimal_diagonal([], n), "depth"),
-        (lambda n: decimal_diagonal(map(digits_of, calkin_wilf()), n), "depth"),
-        (lambda n: cf_diagonal(map(metallic, range(1, 10)), n), "depth"),
-        (lambda n: verify_differs(DecimalDiagonalResult(0, (), ()), [], n), "depth"),
-    ],
-    ids=["take", "take-endless", "convergents", "convergents-endless", "irrationals", "diagonal",
-         "diagonal-endless", "cf-diagonal", "verify"],
-)
+# (call, name): each call pulls n items or rows, from a finite or an endless source
+COUNT_CALLS = [
+    (lambda n: calkin_wilf().take(n), "count"),
+    (lambda n: metallic(2).take(n), "count"),
+    (lambda n: convergents([1, 2], n), "count"),
+    (lambda n: convergents(metallic(2), n), "count"),
+    (lambda n: irrational_enumeration(n), "count"),
+    (lambda n: decimal_diagonal([], n), "depth"),
+    (lambda n: decimal_diagonal(map(digits_of, calkin_wilf()), n), "depth"),
+    (lambda n: cf_diagonal(map(metallic, range(1, 10)), n), "depth"),
+    (lambda n: verify_differs(DecimalDiagonalResult(0, (), ()), [], n), "depth"),
+]
+COUNT_IDS = [
+    "take", "take-endless", "convergents", "convergents-endless", "irrationals", "diagonal",
+    "diagonal-endless", "cf-diagonal", "verify",
+]
+
+
+@pytest.mark.parametrize("call, name", COUNT_CALLS, ids=COUNT_IDS)
 @pytest.mark.parametrize("n", [sys.maxsize + 1, 2**70, BIG], ids=["maxsize+1", "2^70", "10^5000"])
 def test_counts_past_maxsize_are_refused(call, name, n):
     # islice raised ValueError here; an endless pull would never have ended
     with pytest.raises(RangeError, match=f"^{name} must be <= {sys.maxsize}$"):
         call(n)
+
+
+@pytest.mark.parametrize("call, name", COUNT_CALLS, ids=COUNT_IDS)
+@pytest.mark.parametrize(
+    "n, shown",
+    [(2.5, "2.5"), (0.5, "0.5"), (3.0, "3.0"), (Fraction(3), "Fraction(3, 1)"), ("3", "'3'")],
+    ids=["float", "small-float", "whole-float", "fraction", "str"],
+)
+def test_non_integer_counts_are_refused(call, name, n, shown):
+    # islice raised ValueError on the floats, and the comparisons TypeError
+    # on the str; a metallic take(2.5) raised TypeError from the list product
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got {re.escape(shown)}$"):
+        call(n)
+
+
+def test_counts_take_what_operator_index_takes():
+    numpy = pytest.importorskip("numpy")
+    assert metallic(3).take(numpy.int64(2)) == [3, 3] and metallic(3).take(True) == [3]
+    assert len(convergents(metallic(2), numpy.int64(3))) == 3
+    assert len(irrational_enumeration(numpy.int64(4))) == 4
+    assert cf_diagonal(irrational_enumeration(3), numpy.int64(3)).terms == (0, 2, 3, 4)
+
+
+# (read, first, name): each reads position k of a row, a result or a value
+POSITION_READS = [
+    (lambda k: digits_of(Fraction(1, 7)).entry(k), 1, "entry index"),
+    (lambda k: metallic(3).entry(k), 0, "entry index"),
+    (lambda k: named_cf_stream("sqrt2").entry(k), 0, "entry index"),
+    (lambda k: named_cf_stream("e").entry(k), 0, "entry index"),
+    (lambda k: named_cf_stream("pi").entry(k), 0, "entry index"),
+    (lambda k: DecimalDiagonalResult(0, (5, 4), ()).entry(k), 1, "entry index"),
+    (lambda k: CFDiagonalResult((0, 2, 3), ()).entry(k), 0, "entry index"),
+    (lambda k: digit_at(Fraction(1, 7), k), 1, "digit position"),
+]
+POSITION_IDS = [
+    "digit-row", "metallic", "sqrt2", "e", "pi", "decimal-result", "cf-result", "digit_at",
+]
+
+
+@pytest.mark.parametrize("read, first, name", POSITION_READS, ids=POSITION_IDS)
+@pytest.mark.parametrize(
+    "k, shown",
+    [(2.5, "2.5"), (1.0, "1.0"), (Fraction(3, 2), "Fraction(3, 2)"), ("1", "'1'"), (None, "None")],
+    ids=["float", "whole-float", "fraction", "str", "none"],
+)
+def test_non_integer_positions_are_refused(read, first, name, k, shown):
+    # metallic(3).entry(2.5) was 3 and e's entry(2.5) was 1; the others raised TypeError
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got {re.escape(shown)}$"):
+        read(k)
+
+
+@pytest.mark.parametrize("read, first, name", POSITION_READS, ids=POSITION_IDS)
+def test_positions_take_what_operator_index_takes(read, first, name):
+    numpy = pytest.importorskip("numpy")
+    assert read(numpy.int64(1)) == read(True) == read(1)
+    with pytest.raises(DomainError, match=f"^{name} must be >= {first}, got {first - 1}$"):
+        read(numpy.int64(first - 1))
 
 
 def test_maxsize_itself_is_a_count():
@@ -207,3 +272,80 @@ def test_maxsize_itself_is_a_count():
     with pytest.raises(InputError, match=f"^need {sys.maxsize} rows, got 0$"):
         decimal_diagonal([], sys.maxsize)
 
+
+
+try:
+    import numpy
+except ImportError:  # the fuzz then draws no numpy ints
+    numpy = None
+
+# positions, counts and depths: ints, ints past sys.maxsize, values that are
+# no ints, bools and numpy ints; an in-range pull from an endless source is
+# capped, since metallic(3).take(sys.maxsize) fills memory
+PAST_MAXSIZE = st.integers(sys.maxsize + 1, 2**300)
+NOT_INTS = st.one_of(
+    st.floats(allow_nan=True), st.fractions(), st.text(max_size=3), st.none(),
+    st.sampled_from([0.5, -0.5, 2.5, 3.0, Fraction(5, 2)]),
+)
+ANY_INT = st.integers() | st.integers(10**4, sys.maxsize) | PAST_MAXSIZE
+
+
+def three_rows():
+    return [digits_of(Fraction(1, 3)) for _ in range(3)]
+
+
+# (call, largest in-range n, or None for any int): each is a position read
+# or a pull of n items or rows; convergents(e, n) costs more than linear in n
+FUZZED_CALLS = {
+    "digit-row-entry": (lambda n: digits_of(Fraction(1, 7)).entry(n), None),
+    "metallic-entry": (lambda n: metallic(3).entry(n), None),
+    "sqrt2-entry": (lambda n: named_cf_stream("sqrt2").entry(n), None),
+    "e-entry": (lambda n: named_cf_stream("e").entry(n), None),
+    "pi-entry": (lambda n: named_cf_stream("pi").entry(n), None),
+    "decimal-result-entry": (lambda n: DecimalDiagonalResult(0, (5, 4), ()).entry(n), None),
+    "cf-result-entry": (lambda n: CFDiagonalResult((0, 2, 3), ()).entry(n), None),
+    "digit_at": (lambda n: digit_at(Fraction(1, 7), n), None),
+    "take": (lambda n: Stream([1, 2], "decimal").take(n), None),
+    "pi-take": (lambda n: named_cf_stream("pi").take(n), None),
+    "calkin-wilf-take": (lambda n: calkin_wilf().take(n), 10**4),
+    "digit-row-take": (lambda n: digits_of(Fraction(1, 7)).take(n), 10**4),
+    "metallic-take": (lambda n: metallic(3).take(n), 10**4),
+    "e-take": (lambda n: named_cf_stream("e").take(n), 10**4),
+    "convergents": (lambda n: convergents([1, 2, 3], n), None),
+    "convergents-e": (lambda n: convergents(named_cf_stream("e"), n), 300),
+    "irrationals": (lambda n: irrational_enumeration(n), 10**4),
+    "decimal-diagonal": (lambda n: decimal_diagonal(three_rows(), n), None),
+    "decimal-diagonal-endless": (
+        lambda n: decimal_diagonal(map(digits_of, calkin_wilf()), n), 10**4
+    ),
+    "cf-diagonal-endless": (lambda n: cf_diagonal(map(metallic, itertools.count(1)), n), 10**4),
+    "verify": (
+        lambda n: verify_differs(DecimalDiagonalResult(0, (5, 5, 5), ()), three_rows(), n), None
+    ),
+    "verify-endless": (  # the one-digit prefix ends the walk at row 2
+        lambda n: verify_differs(
+            DecimalDiagonalResult(0, (5,), ()), map(digits_of, calkin_wilf()), n
+        ),
+        None,
+    ),
+}
+# a result's entry past its prefix is an IndexError, as a tuple's is
+PAST_THE_END = {"decimal-result-entry": 3, "cf-result-entry": 3}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FUZZED_CALLS)), st.data())
+def test_any_position_count_or_depth_gets_a_value_or_a_typed_error(name, data):
+    call, cap = FUZZED_CALLS[name]
+    in_range = st.integers(-3, cap or 10**4)
+    ints = ANY_INT if cap is None else in_range | PAST_MAXSIZE
+    numpy_ints = [in_range.map(numpy.int64)] if numpy is not None else []
+    n = data.draw(st.one_of(ints, NOT_INTS, st.booleans(), *numpy_ints))
+    try:
+        call(n)
+    except (DomainError, RangeError, InputError):
+        return
+    except IndexError:
+        assert name in PAST_THE_END and operator.index(n) >= PAST_THE_END[name]
+        return
+    assert not isinstance(n, (float, Fraction, str, type(None))), "a non-integer was taken"
