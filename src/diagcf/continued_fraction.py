@@ -20,7 +20,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import DomainError, RangeError
-from .exact_numbers import Rational, _check_count, _digits_of_int, _int_from_digits, _is_digits
+from .exact_numbers import (
+    Rational, _check_count, _check_rational, _digits_of_int, _int_from_digits, _is_digits,
+)
 
 __all__ = (
     "ApproximationComparison", "ContinuedFraction", "Convergent",
@@ -117,8 +119,8 @@ def from_rational(x: Rational) -> ContinuedFraction:
     quotients, so it terminates for every rational and never emits a
     trailing 1 when the expansion has more than one term.
     """
-    if x.numerator < 0:
-        raise DomainError("negative input")
+    if type(x) is not Fraction or x.numerator < 0:
+        _check_rational(x)
     return tuple.__new__(ContinuedFraction, _euclid(x.numerator, x.denominator))
 
 

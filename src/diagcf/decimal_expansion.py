@@ -26,7 +26,8 @@ from typing import NamedTuple
 
 from .errors import DomainError, RangeError
 from .exact_numbers import (
-    Rational, _check_index, _digits_of_int, _int_from_digits, _is_digits, to_string,
+    Rational, _check_index, _check_rational, _digits_of_int, _int_from_digits, _is_digits,
+    to_string,
 )
 
 __all__ = (
@@ -39,11 +40,21 @@ __all__ = (
 # and `period_length` walks; 1/10000019, whose period has 10000018, fits
 MAX_DIGITS = 2 * 10**7
 
-# the most digits one long division makes, in `expand` and in
-# `enumeration.digits_of`: str() of a block is quadratic in its length,
-# and 256 measured faster than 64, 128 or 1024 on the period of 1/1000003
+# digits per division in `_long_divide`, which `expand` and `digits_of` rows share: exactly
+# the digits asked for, no per-block check. str() of a block is quadratic in its length, and
+# 256 measured faster than 64, 128 or 1024 on the period of 1/1000003
 _BLOCK = 256
 _SCALE = 10**_BLOCK
+
+
+def _long_divide(rem: int, den: int, n: int) -> tuple[str, int]:
+    # n digits of rem/den and the remainder; exact ints 0 <= rem < den give 0 <= block < 10**k
+    blocks = []
+    for start in range(0, n, _BLOCK):
+        k = min(_BLOCK, n - start)
+        block, rem = divmod(rem * (_SCALE if k == _BLOCK else 10**k), den)
+        blocks.append(str(block).zfill(k))
+    return "".join(blocks), rem
 
 
 class DecimalExpansion(tuple):
@@ -103,14 +114,8 @@ def expand(x: Rational) -> DecimalExpansion:
     n = mu + lam
     if n > MAX_DIGITS:
         raise _over_the_limit(x)
-    den = x.denominator
-    whole, rem = divmod(x.numerator, den)
-    blocks = []
-    for start in range(0, n, _BLOCK):
-        k = min(_BLOCK, n - start)
-        block, rem = divmod(rem * (_SCALE if k == _BLOCK else 10**k), den)
-        blocks.append(str(block).zfill(k))
-    digits = "".join(blocks)
+    whole, rem = divmod(x.numerator, x.denominator)
+    digits, _ = _long_divide(rem, x.denominator, n)
     return DecimalExpansion(whole, digits[:mu], digits[mu:])
 
 
@@ -136,8 +141,8 @@ def period_length(x: Rational) -> PeriodReport:
     refuses after MAX_DIGITS steps without a return. This never consults
     the order of 10; a wrong bound on mu could only make the walk refuse.
     """
-    if x.numerator < 0:
-        raise DomainError("negative input")
+    if type(x) is not Fraction or x.numerator < 0:
+        _check_rational(x)
     q = x.denominator
     start = x.numerator % q
     walker = on_cycle = start * pow(10, q.bit_length(), q) % q
@@ -166,8 +171,8 @@ def period_length_by_order(x: Rational) -> PeriodReport:
     reduced denominator 2^a * 5^b * d: one preperiod digit, max(a, b) in
     all. The period is the order of 10 modulo d (terminating if d = 1).
     """
-    if x.numerator < 0:
-        raise DomainError("negative input")
+    if type(x) is not Fraction or x.numerator < 0:
+        _check_rational(x)
     den = x.denominator
     preperiod = 0
     while (g := math.gcd(den, 10)) > 1:
@@ -216,8 +221,8 @@ def digit_at(x: Rational, j: int) -> int:
     floor(x * 10^j) mod 10 only needs 10^j modulo 10*den, so this is
     O(log j) however deep j goes.
     """
-    if x.numerator < 0:
-        raise DomainError("negative input")
+    if type(x) is not Fraction or x.numerator < 0:
+        _check_rational(x)
     if type(j) is not int or j < 1:
         j = _check_index("digit position", j, 1)
     num, den = x.numerator, x.denominator
@@ -243,8 +248,7 @@ def find_period_at_least(min_length: int) -> Rational:
     min_length + 1 as that order is at most d - 1; the scan ends, since
     10 has order k mod 10^k - 1. `period_length` re-verifies the winner.
     """
-    if min_length < 1:
-        raise DomainError("period length bound must be >= 1")
+    min_length = _check_index("period length bound", min_length, 1)
     if min_length > MAX_DIGITS:  # the re-check would refuse every winner
         raise RangeError(
             f"period length bound {_digits_of_int(min_length)} exceeds {MAX_DIGITS} digits"

@@ -163,6 +163,9 @@ def _nth_entry(row: Stream, position: int) -> int:
 
 def _check_shape(max_preperiod: int, max_period: int, depth: int) -> None:
     # every shape gets at least one full period-against-period comparison
+    for name, n in ("max_preperiod", max_preperiod), ("max_period", max_period), ("depth", depth):
+        if type(n) is not int:
+            _check_count(name, n)
     if max_preperiod < 0:
         raise DomainError("max_preperiod must be >= 0")
     if max_period < 1:
@@ -217,7 +220,7 @@ def verify_differs(constructed, rows: Iterable, depth: int) -> VerifyResult:
     walked, never read through `entry`, so this stays independent of the
     construction; pass fresh streams. The walk is O(depth^2) items but
     only O(depth + depth^2/256) Python steps over `digits_of` rows, which
-    make and check 256 digits at a time and hand them out as one run,
+    long-divide exactly the digits asked for, 256 per step and unchecked,
     and O(depth) over `metallic` rows, whose runs are one list each.
     Depth 0 is vacuously true.
     """

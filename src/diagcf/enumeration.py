@@ -11,8 +11,8 @@ The package's rows (`digits_of`, `metallic` and the named streams) are
 small `Stream` subclasses, checked once when built, whose runs and
 `entry(k)` hand out items with no second check; a stream over an outside
 iterable has no `entry`, is walked, and checks each run it pulls. A
-rational's digits are long-divided 256 at a time, so walking k digits
-takes O(1 + k/256) Python steps.
+rational's k digits are long-divided exactly, in O(1 + k/256) Python
+steps and with no per-block check, by the block loop `expand` uses.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .continued_fraction import _check_quotients
-from .decimal_expansion import _BLOCK, _SCALE, digit_at
+from .decimal_expansion import _long_divide, digit_at
 from .errors import DomainError, RangeError
 from .exact_numbers import (
-    Rational, _check_count, _check_index, _digits_of_int, _int_from_digits, _is_digits,
+    Rational, _check_count, _check_index, _check_rational, _digits_of_int, _int_from_digits,
+    _is_digits,
 )
 
 __all__ = (
@@ -121,18 +122,18 @@ class Stream:
 
 
 class _DigitRow(Stream):
-    __slots__ = ("_x", "_rem", "_den", "_ahead")  # _ahead: digits made, not yet handed out
+    __slots__ = ("_x", "_rem", "_den")
     kind, first_index = "decimal", 1  # fixed, so no package row calls Stream.__init__
 
     def __init__(self, x: Rational):
+        if type(x) is not Fraction or x.numerator < 0:
+            _check_rational(x)
         num, den = x.numerator, x.denominator
-        if num < 0:
-            raise DomainError("negative input")
         if type(num) is not int or type(den) is not int:  # numpy ints overflow
             raise DomainError(
                 f"x must be an int over an int, got {type(num).__name__}/{type(den).__name__}"
             )
-        self._x, self._rem, self._den, self._ahead = x, num % den, den, b""
+        self._x, self._rem, self._den = x, num % den, den
         self.position = 0
 
     def entry(self, k: int) -> int:
@@ -141,19 +142,8 @@ class _DigitRow(Stream):
         return digit_at(self._x, k)
 
     def _pull(self, n: int) -> list[int]:
-        # not `expand`'s loop, which knows its count and cuts the last block: sharing was slower
-        ahead = self._ahead
-        if n > len(ahead):
-            rem, den, blocks = self._rem, self._den, [ahead]
-            for _ in range((n - len(ahead) + _BLOCK - 1) // _BLOCK):
-                block, rem = divmod(rem * _SCALE, den)
-                block = str(block).zfill(_BLOCK).encode().translate(_DIGIT_VALUES)
-                if block.translate(None, _DIGITS):  # not a run of digits 0..9
-                    _check_digits(0, block)
-                blocks.append(block)
-            self._rem, ahead = rem, b"".join(blocks)
-        self._ahead = ahead[n:]
-        return list(ahead[:n])
+        digits, self._rem = _long_divide(self._rem, self._den, n)
+        return list(digits.encode().translate(_DIGIT_VALUES))
 
 
 class _MetallicRow(Stream):
@@ -161,10 +151,10 @@ class _MetallicRow(Stream):
     kind, first_index = "cf", 0
 
     def __init__(self, k: int):
-        if k < 1:
-            raise DomainError("metallic index must be >= 1")
         if type(k) is not int:  # an int >= 1 passes the quotient rule; the rule refuses
             _check_quotients(1, (k,))  # anything else with its own message
+        if k < 1:
+            raise DomainError("metallic index must be >= 1")
         self._k = k
         self.position = 0
 
@@ -215,9 +205,9 @@ def calkin_wilf() -> Stream:
 def digits_of(x: Rational) -> Stream:
     """The fractional decimal digits of x >= 0, an int over an int, without end.
 
-    The walk long-divides 256 digits at a time, each block checked as made,
-    so a first `take(k)` takes O(1 + k/256) Python steps and 256 *
-    ceil(k/256) digits; `entry(k)` is `digit_at`, independent of the walk.
+    `take(k)` long-divides exactly the next k digits, up to 256 per step,
+    with no per-block check, and `next()` divides one; `entry(k)` is
+    `digit_at`, independent of the walk.
     """
     return _DigitRow(x)
 

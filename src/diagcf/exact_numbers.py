@@ -81,6 +81,18 @@ def _check_index(name: str, k, first: float) -> int:
         raise DomainError(f"{name} must be an integer, got {k!r}") from None
 
 
+def _check_rational(x) -> None:
+    # x >= 0, an int over an int >= 1 (numpy ints too); callers skip Fractions >= 0, which pass
+    try:
+        num, den = operator.index(x.numerator), operator.index(x.denominator)
+    except (AttributeError, TypeError):
+        raise DomainError(f"x must be a rational, got {x!r}") from None
+    if den < 1:
+        raise DomainError(f"denominator must be >= 1, got {_digits_of_int(den)}")
+    if num < 0:
+        raise DomainError("negative input")
+
+
 def make_rational(num: int, den: int) -> Rational:
     """Reduced fraction num/den; the sign ends up on the numerator."""
     if den == 0:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagcf import continued_fraction, enumeration
+from diagcf import continued_fraction, decimal_expansion, enumeration
 from diagcf import (
     PI_PARTIAL_QUOTIENTS,
     DomainError,
@@ -30,6 +30,7 @@ from diagcf import (
     irrational_enumeration,
     metallic,
     named_cf_stream,
+    period_length_by_order,
     to_rational,
 )
 
@@ -191,19 +192,30 @@ class TestBlockWalk:
     def test_runs_ending_at_every_block_edge(self, x, shift):
         self.check_runs(x, [e + shift for e in BLOCK_EDGES])
 
-    def test_division_work_is_the_run_in_whole_blocks(self, monkeypatch):
-        # for 1/3 every remainder is 1, so each block divides 10**256 by 3
-        divided = []
+    def test_division_work_is_exactly_the_digits_asked_for(self, monkeypatch):
+        # a division that makes k digits divides rem * 10**k, where rem is the remainder the
+        # division before it left; expand's first division makes its whole part, no digit
+        divided, left = [], [None]
 
         def spy(a, b):
-            divided.append(len(str(a)) - 1)
-            return divmod(a, b)
+            whole, rem = divmod(a, b)
+            if left[0] is not None:
+                divided.append(len(str(a // left[0])) - 1)
+            left[0] = rem
+            return whole, rem
 
-        monkeypatch.setattr(enumeration, "divmod", spy, raising=False)
+        monkeypatch.setattr(decimal_expansion, "divmod", spy, raising=False)
         for k in range(0, 5000, 7):
             divided.clear()
+            left[0] = 1  # 1/3 leaves 1 every time
             assert digits_of(Fraction(1, 3)).take(k) == [3] * k
-            assert sum(divided) == 256 * math.ceil(k / 256)
+            assert sum(divided) == k
+        for x in (Fraction(1, 7), Fraction(22, 7), Fraction(1, 2**300 * 7), Fraction(1, 10007)):
+            divided.clear()
+            left[0] = None
+            lam, mu, _ = period_length_by_order(x)
+            assert len(expand(x).period) == lam
+            assert sum(divided) == mu + lam
 
     def test_first_digits_of_a_long_period_come_at_once(self):
         assert pow(10, SAFE_PRIME // 2, SAFE_PRIME) == SAFE_PRIME - 1  # 10 is a non-residue

@@ -3,6 +3,7 @@ import math
 import operator
 import re
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from diagcf import (
     digits_of,
     expand,
     find_period_at_least,
+    from_rational,
     irrational_enumeration,
     make_rational,
     metallic,
@@ -32,8 +34,11 @@ from diagcf import (
     parse_cf,
     parse_expansion,
     parse_rational,
+    period_length,
+    period_length_by_order,
     rational_diagonal_analysis,
     reconstruct,
+    rule_out_periods,
     to_string,
     verify_differs,
 )
@@ -265,6 +270,37 @@ def test_positions_take_what_operator_index_takes(read, first, name):
         read(numpy.int64(first - 1))
 
 
+RATIONAL_READS = {
+    "from_rational": from_rational,
+    "digits_of": digits_of,
+    "expand": expand,
+    "digit_at": lambda x: digit_at(x, 3),
+    "period_length": period_length,
+    "period_length_by_order": period_length_by_order,
+}
+
+
+@pytest.mark.parametrize("read", RATIONAL_READS.values(), ids=RATIONAL_READS.keys())
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        (2.5, "x must be a rational, got 2.5"),
+        ("1/3", "x must be a rational, got '1/3'"),
+        (types.SimpleNamespace(numerator=1.5, denominator=2), "x must be a rational, got "),
+        (types.SimpleNamespace(numerator=1, denominator=-3), "denominator must be >= 1, got -3"),
+        (types.SimpleNamespace(numerator=1, denominator=0), "denominator must be >= 1, got 0"),
+        (Fraction(-1, 3), "negative input"),
+    ],
+    ids=["float", "str", "float-part", "negative-denominator", "zero-denominator", "negative"],
+)
+def test_one_rule_for_a_rational_argument(read, x, message):
+    # from_rational took 1/-3 as [-1; 1, 2] and digits_of gave 6, 6, 6 for it; a zero
+    # denominator raised ZeroDivisionError, or never returned from expand; a float raised
+    # AttributeError
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        read(x)
+
+
 def test_maxsize_itself_is_a_count():
     with pytest.raises(RangeError, match=f"^count {sys.maxsize} exceeds the 2 available terms$"):
         convergents([1, 2], sys.maxsize)
@@ -328,6 +364,11 @@ FUZZED_CALLS = {
         ),
         None,
     ),
+    "metallic": (metallic, None),
+    "rule-out-preperiod": (lambda n: rule_out_periods([1, 2] * 5, n, 1), None),
+    "rule-out-period": (lambda n: rule_out_periods([1, 2] * 5, 0, n), None),
+    "analysis-preperiod": (lambda n: rational_diagonal_analysis(calkin_wilf(), 6, n, 2), None),
+    "find-period": (find_period_at_least, 10**3),
 }
 # a result's entry past its prefix is an IndexError, as a tuple's is
 PAST_THE_END = {"decimal-result-entry": 3, "cf-result-entry": 3}
