@@ -295,8 +295,8 @@ RATIONAL_READS = {
 )
 def test_one_rule_for_a_rational_argument(read, x, message):
     # from_rational took 1/-3 as [-1; 1, 2] and digits_of gave 6, 6, 6 for it; a zero
-    # denominator raised ZeroDivisionError, or never returned from expand; a float raised
-    # AttributeError
+    # denominator gave an empty continued fraction, raised ZeroDivisionError or ValueError, or
+    # never returned from expand; a float raised AttributeError
     with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
         read(x)
 
