@@ -119,9 +119,7 @@ def from_rational(x: Rational) -> ContinuedFraction:
     quotients, so it terminates for every rational and never emits a
     trailing 1 when the expansion has more than one term.
     """
-    if type(x) is not Fraction or x.numerator < 0:
-        _check_rational(x)
-    return tuple.__new__(ContinuedFraction, _euclid(x.numerator, x.denominator))
+    return tuple.__new__(ContinuedFraction, _euclid(*_check_rational(x)))
 
 
 def to_rational(cf: CFLike) -> Rational:
@@ -158,7 +156,7 @@ def convergents(source, count: int) -> list[Convergent]:
     Uses the standard recurrence h_k = a_k*h_{k-1} + h_{k-2} (same for
     k_k); consecutive values are automatically coprime.
     """
-    _check_count("count", count)
+    count = _check_count("count", count)
     if count < 1:
         raise RangeError("count must be >= 1")
     # only the first `count` quotients are pulled, and they pass the quotient rule

@@ -48,7 +48,7 @@ _SCALE = 10**_BLOCK
 
 
 def _long_divide(rem: int, den: int, n: int) -> tuple[str, int]:
-    # n digits of rem/den and the remainder; exact ints 0 <= rem < den give 0 <= block < 10**k
+    # n digits of rem/den and the remainder; ints n and 0 <= rem < den give 0 <= block < 10**k
     blocks = []
     for start in range(0, n, _BLOCK):
         k = min(_BLOCK, n - start)
@@ -110,12 +110,13 @@ def expand(x: Rational) -> DecimalExpansion:
     lambda instead, in O(mu + lambda) steps and under the same limit.
     A terminating x carries period "0", the digit after its preperiod.
     """
+    num, den = _check_rational(x)
     lam, mu, _ = _period_report(x)
     n = mu + lam
     if n > MAX_DIGITS:
         raise _over_the_limit(x)
-    whole, rem = divmod(x.numerator, x.denominator)
-    digits, _ = _long_divide(rem, x.denominator, n)
+    whole, rem = divmod(num, den)
+    digits, _ = _long_divide(rem, den, n)
     return DecimalExpansion(whole, digits[:mu], digits[mu:])
 
 
@@ -141,10 +142,8 @@ def period_length(x: Rational) -> PeriodReport:
     refuses after MAX_DIGITS steps without a return. This never consults
     the order of 10; a wrong bound on mu could only make the walk refuse.
     """
-    if type(x) is not Fraction or x.numerator < 0:
-        _check_rational(x)
-    q = x.denominator
-    start = x.numerator % q
+    num, q = _check_rational(x)
+    start = num % q
     walker = on_cycle = start * pow(10, q.bit_length(), q) % q
     for lam in range(1, MAX_DIGITS + 1):
         walker = walker * 10 % q
@@ -171,9 +170,7 @@ def period_length_by_order(x: Rational) -> PeriodReport:
     reduced denominator 2^a * 5^b * d: one preperiod digit, max(a, b) in
     all. The period is the order of 10 modulo d (terminating if d = 1).
     """
-    if type(x) is not Fraction or x.numerator < 0:
-        _check_rational(x)
-    den = x.denominator
+    _, den = _check_rational(x)
     preperiod = 0
     while (g := math.gcd(den, 10)) > 1:
         den //= g
@@ -221,11 +218,9 @@ def digit_at(x: Rational, j: int) -> int:
     floor(x * 10^j) mod 10 only needs 10^j modulo 10*den, so this is
     O(log j) however deep j goes.
     """
-    if type(x) is not Fraction or x.numerator < 0:
-        _check_rational(x)
+    num, den = _check_rational(x)
     if type(j) is not int or j < 1:
         j = _check_index("digit position", j, 1)
-    num, den = x.numerator, x.denominator
     return (num * pow(10, j, 10 * den)) % (10 * den) // den
 
 

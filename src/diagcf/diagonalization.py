@@ -135,7 +135,7 @@ class RationalDiagonalReport(NamedTuple):
 def _rows(rows: Iterable, depth: int, kind: str, least: int) -> Iterator[tuple[int, Stream]]:
     # (k, row k) for k = 1..depth, depth checked first; one row is pulled per position and
     # none is held once read, and a bare iterable is wrapped once to pass its kind's check
-    _check_count("depth", depth)
+    depth = _check_count("depth", depth)
     if depth < least:
         raise DomainError(f"depth must be >= {least}")
     k = 0
@@ -161,11 +161,12 @@ def _nth_entry(row: Stream, position: int) -> int:
     return run[-1]
 
 
-def _check_shape(max_preperiod: int, max_period: int, depth: int) -> None:
-    # every shape gets at least one full period-against-period comparison
-    for name, n in ("max_preperiod", max_preperiod), ("max_period", max_period), ("depth", depth):
-        if type(n) is not int:
-            _check_count(name, n)
+def _check_shape(max_preperiod: int, max_period: int, depth: int) -> tuple[int, int, int]:
+    # the three as ints, where every shape gets at least one full period-against-period comparison
+    shape = ("max_preperiod", max_preperiod), ("max_period", max_period), ("depth", depth)
+    max_preperiod, max_period, depth = (
+        n if type(n) is int else _check_count(name, n) for name, n in shape
+    )
     if max_preperiod < 0:
         raise DomainError("max_preperiod must be >= 0")
     if max_period < 1:
@@ -175,6 +176,7 @@ def _check_shape(max_preperiod: int, max_period: int, depth: int) -> None:
             f"depth {_digits_of_int(depth)} is less than max_preperiod + 2*max_period "
             f"= {_digits_of_int(max_preperiod + 2 * max_period)}"
         )
+    return max_preperiod, max_period, depth
 
 
 def _diagonal(rows: Iterable, depth: int, kind: str, rule):
@@ -264,8 +266,7 @@ def rule_out_periods(
     a finite prefix can rule shapes out but can never certify one. The
     prefix must hold at least max_preperiod + 2*max_period digits.
     """
-    n = len(digits)
-    _check_shape(max_preperiod, max_period, n)
+    max_preperiod, max_period, n = _check_shape(max_preperiod, max_period, len(digits))
     rulings: list[PeriodRuling] = []
     for p in range(max_preperiod + 1):
         for l in range(1, max_period + 1):
@@ -291,7 +292,7 @@ def rational_diagonal_analysis(
     Requires depth >= max_preperiod + 2*max_period so every candidate
     shape gets at least one full period-against-period comparison.
     """
-    _check_shape(max_preperiod, max_period, depth)
+    max_preperiod, max_period, depth = _check_shape(max_preperiod, max_period, depth)
     diagonal = decimal_diagonal(map(digits_of, enumeration), depth)
     rulings = tuple(rule_out_periods(diagonal.digits, max_preperiod, max_period))
     return RationalDiagonalReport(depth, max_preperiod, max_period, diagonal, rulings)

@@ -112,8 +112,7 @@ class Stream:
 
     def take(self, n: int) -> list:
         """The next n items (none for n <= 0); fewer only where the stream ends."""
-        _check_count("count", n)
-        run = self._pull(max(n, 0))
+        run = self._pull(max(_check_count("count", n), 0))
         self.position += len(run)
         return run
 
@@ -126,8 +125,8 @@ class _DigitRow(Stream):
     kind, first_index = "decimal", 1  # fixed, so no package row calls Stream.__init__
 
     def __init__(self, x: Rational):
-        if type(x) is not Fraction or x.numerator < 0:
-            _check_rational(x)
+        if type(x) is not Fraction or x.numerator < 0:  # a row per rational: skip the call
+            _check_rational(x)  # for a Fraction >= 0, which passes; its parts are checked below
         num, den = x.numerator, x.denominator
         if type(num) is not int or type(den) is not int:  # numpy ints overflow
             raise DomainError(
@@ -153,6 +152,7 @@ class _MetallicRow(Stream):
     def __init__(self, k: int):
         if type(k) is not int:  # an int >= 1 passes the quotient rule; the rule refuses
             _check_quotients(1, (k,))  # anything else with its own message
+            k = int(k)  # True passes as 1
         if k < 1:
             raise DomainError("metallic index must be >= 1")
         self._k = k
@@ -253,7 +253,7 @@ def named_cf_stream(name: str) -> Stream:
 
 def irrational_enumeration(count: int) -> list[Stream]:
     """metallic(1), ..., metallic(count): pairwise distinct infinite streams."""
-    _check_count("count", count)
+    count = _check_count("count", count)
     if count < 1:
         raise DomainError("count must be >= 1")
     return [metallic(k) for k in range(1, count + 1)]

@@ -63,12 +63,14 @@ def _digits_of_int(n: int) -> str:
     return _digits_of_int(high) + _digits_of_int(rest).zfill(low)
 
 
-def _check_count(name: str, n: int) -> None:
-    # an integer of any sign; islice refuses a stop past sys.maxsize, and no list holds that many
+def _check_count(name: str, n: int) -> int:
+    # n as an int of any sign (a numpy int would overflow in arithmetic); islice refuses a
+    # stop past sys.maxsize, and no list holds that many
     if type(n) is not int:
         n = _check_index(name, n, float("-inf"))
     if n > sys.maxsize:
         raise RangeError(f"{name} must be <= {sys.maxsize}")
+    return n
 
 
 def _check_index(name: str, k, first: float) -> int:
@@ -81,8 +83,9 @@ def _check_index(name: str, k, first: float) -> int:
         raise DomainError(f"{name} must be an integer, got {k!r}") from None
 
 
-def _check_rational(x) -> None:
-    # x >= 0, an int over an int >= 1 (numpy ints too); callers skip Fractions >= 0, which pass
+def _check_rational(x) -> tuple[int, int]:
+    # x's numerator and denominator as ints, where x >= 0 is an int over an int >= 1 (numpy
+    # ints too, which would overflow in arithmetic); else the refusal
     try:
         num, den = operator.index(x.numerator), operator.index(x.denominator)
     except (AttributeError, TypeError):
@@ -91,6 +94,7 @@ def _check_rational(x) -> None:
         raise DomainError(f"denominator must be >= 1, got {_digits_of_int(den)}")
     if num < 0:
         raise DomainError("negative input")
+    return num, den
 
 
 def make_rational(num: int, den: int) -> Rational:

@@ -232,6 +232,12 @@ def test_counts_take_what_operator_index_takes():
     assert len(convergents(metallic(2), numpy.int64(3))) == 3
     assert len(irrational_enumeration(numpy.int64(4))) == 4
     assert cf_diagonal(irrational_enumeration(3), numpy.int64(3)).terms == (0, 2, 3, 4)
+    # the count reaches the long division as an int: 10**19 overflows in int64
+    assert digits_of(Fraction(1, 3)).take(numpy.int64(300)) == [3] * 300
+    assert digits_of(Fraction(1, 7)).take(numpy.int64(19)) == digits_of(Fraction(1, 7)).take(19)
+    # and so do the shape bounds, whose sum 0 + 2 * 2**62 wrapped negative in int64 and passed
+    report = rational_diagonal_analysis(calkin_wilf(), *map(numpy.int64, (6, 0, 2)))
+    assert {type(n) for n in report[:3]} == {int}
 
 
 # (read, first, name): each reads position k of a row, a result or a value
@@ -299,6 +305,18 @@ def test_one_rule_for_a_rational_argument(read, x, message):
     # never returned from expand; a float raised AttributeError
     with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
         read(x)
+
+
+@pytest.mark.parametrize(
+    "read", [read for name, read in RATIONAL_READS.items() if name != "digits_of"],
+    ids=[name for name in RATIONAL_READS if name != "digits_of"],
+)
+def test_numpy_parts_are_read_as_ints(read):
+    # expand, digit_at and period_length_by_order raised TypeError from pow, period_length
+    # AttributeError; digits_of keeps refusing numpy parts (test_enumeration)
+    numpy = pytest.importorskip("numpy")
+    assert read(Fraction(numpy.int64(1), numpy.int64(7))) == read(Fraction(1, 7))
+    assert read(numpy.int64(3)) == read(3)
 
 
 def test_maxsize_itself_is_a_count():
@@ -383,10 +401,12 @@ def test_any_position_count_or_depth_gets_a_value_or_a_typed_error(name, data):
     numpy_ints = [in_range.map(numpy.int64)] if numpy is not None else []
     n = data.draw(st.one_of(ints, NOT_INTS, st.booleans(), *numpy_ints))
     try:
-        call(n)
+        got = call(n)
     except (DomainError, RangeError, InputError):
         return
     except IndexError:
         assert name in PAST_THE_END and operator.index(n) >= PAST_THE_END[name]
         return
     assert not isinstance(n, (float, Fraction, str, type(None))), "a non-integer was taken"
+    if type(n) is not int:  # a bool or numpy int gives what its int gives, in plain ints
+        assert repr(got) == repr(call(operator.index(n)))
