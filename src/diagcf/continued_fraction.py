@@ -51,10 +51,10 @@ def _check_quotients(index: int, run: Sequence[int]) -> None:
         raise DomainError(f"partial quotient at index {k} must be >= 1, got {_digits_of_int(a)}")
 
 
-def _quotients(items: Iterable[int]) -> tuple[int, ...]:
-    # the terms as plain ints, under the quotient rule
+def _quotients(items: Iterable[int], count: int | None = None) -> tuple[int, ...]:
+    # the first `count` terms (all for None) as plain ints, under the quotient rule
     try:
-        ts = tuple(map(operator.index, items))
+        ts = tuple(map(operator.index, itertools.islice(items, count)))
     except TypeError:
         raise DomainError("partial quotients must be integers") from None
     _check_quotients(0, ts)
@@ -160,7 +160,7 @@ def convergents(source, count: int) -> list[Convergent]:
     if count < 1:
         raise RangeError("count must be >= 1")
     # only the first `count` quotients are pulled, and they pass the quotient rule
-    quotients = _quotients(itertools.islice(source, count))
+    quotients = _quotients(source, count)
     if len(quotients) < count:
         raise RangeError(f"count {count} exceeds the {len(quotients)} available terms")
     return [Convergent(i, Fraction(h, k)) for i, (_, h, k) in enumerate(_convergents(quotients))]

@@ -151,16 +151,6 @@ def _rows(rows: Iterable, depth: int, kind: str, least: int) -> Iterator[tuple[i
         raise InputError(f"need {depth} rows, got {k}")
 
 
-def _nth_entry(row: Stream, position: int) -> int:
-    steps = position + 1 - row.first_index
-    run = row.take(steps)
-    if len(run) < steps:
-        raise InputError(
-            f"row exhausted after {len(run)} entries; position {position} needed"
-        )
-    return run[-1]
-
-
 def _check_shape(max_preperiod: int, max_period: int, depth: int) -> tuple[int, int, int]:
     # the three as ints, where every shape gets at least one full period-against-period comparison
     shape = ("max_preperiod", max_preperiod), ("max_period", max_period), ("depth", depth)
@@ -180,12 +170,12 @@ def _check_shape(max_preperiod: int, max_period: int, depth: int) -> tuple[int, 
 
 
 def _diagonal(rows: Iterable, depth: int, kind: str, rule):
-    # a row with `entry` is read at position k directly, any other is walked
+    # a row with `entry` is read at position k directly, any other is walked to it
     built: list[int] = []
     witnesses: list[DiagonalWitness] = []
     for k, row in _rows(rows, depth, kind, 1):
         entry = getattr(row, "entry", None)
-        x_kk = entry(k) if entry is not None else _nth_entry(row, k)
+        x_kk = entry(k) if entry is not None else row._skip(k + 1 - row.first_index)
         built.append(rule(x_kk))
         witnesses.append(DiagonalWitness(k, x_kk, built[-1]))
     return tuple(built), tuple(witnesses)
@@ -219,17 +209,20 @@ def verify_differs(constructed, rows: Iterable, depth: int) -> VerifyResult:
     with row k's entry k. Rows are pulled from any iterable one at a time,
     each dropped once read: `depth` of them, or up to the first failing
     position, which is the counterexample and ends the pull. They are
-    walked, never read through `entry`, so this stays independent of the
-    construction; pass fresh streams. The walk is O(depth^2) items but
-    only O(depth + depth^2/256) Python steps over `digits_of` rows, which
-    long-divide exactly the digits asked for, 256 per step and unchecked,
-    and O(depth) over `metallic` rows, whose runs are one list each.
-    Depth 0 is vacuously true.
+    walked to entry k, never read through `entry`; pass fresh streams. A
+    package row hands out entry k alone, with no list, and any other row
+    walks one checked run. Over `digits_of` rows the walk long-divides
+    and renders all O(depth^2) digits, in O(depth + depth^2/256) block
+    divisions of up to 256 digits, independent of the construction's
+    `digit_at`. Over `metallic` and named rows it takes O(depth) Python
+    steps, but reads the same `_k` or closed form as their `entry`: there
+    the two checks are one route, independent in name only. Depth 0 is
+    vacuously true.
     """
     if not isinstance(constructed, (DecimalDiagonalResult, CFDiagonalResult)):
         raise InputError(f"constructed is not a diagonal result: {type(constructed).__name__}")
     for k, row in _rows(rows, depth, constructed.kind, 0):
-        row_entry = _nth_entry(row, k)
+        row_entry = row._skip(k + 1 - row.first_index)
         try:
             built = constructed.entry(k)
         except IndexError:

@@ -8,11 +8,13 @@ Streams are pull-based, single-consumer and carry an explicit position;
 rewinding means recreating the stream.
 
 The package's rows (`digits_of`, `metallic` and the named streams) are
-small `Stream` subclasses, checked once when built, whose runs and
-`entry(k)` hand out items with no second check; a stream over an outside
-iterable has no `entry`, is walked, and checks each run it pulls. A
-rational's k digits are long-divided exactly, in O(1 + k/256) Python
-steps and with no per-block check, by the block loop `expand` uses.
+small `Stream` subclasses, checked once when built, whose runs, walks
+and `entry(k)` hand out items with no second check; a stream over an
+outside iterable has no `entry`, is walked, and checks each run it
+pulls. A rational's k digits are long-divided exactly, in O(1 + k/256)
+steps, by the block loop `expand` uses. A walk to a row's n-th next
+item hands out that item alone, with no list; a metallic or named row's
+walk reads the same `_k` or closed form as its `entry`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .continued_fraction import _check_quotients
 from .decimal_expansion import _long_divide, digit_at
-from .errors import DomainError, RangeError
+from .errors import DomainError, InputError, RangeError
 from .exact_numbers import (
     Rational, _check_count, _check_index, _check_rational, _digits_of_int, _int_from_digits,
     _is_digits,
@@ -105,10 +107,18 @@ class Stream:
         return self
 
     def __next__(self):
-        for item in self._pull(1):
-            self.position += 1
-            return item
-        raise StopIteration
+        item = next(self._items)  # the end of the iterable ends the stream
+        self._check(self.first_index + self.position, (item,))
+        self.position += 1
+        return item
+
+    def _skip(self, n: int):
+        # the last of the next n >= 1 items, walked by `take` as one checked run
+        run = self.take(n)
+        if len(run) < n:
+            needed = self.first_index + self.position - len(run) + n - 1
+            raise InputError(f"row exhausted after {len(run)} entries; position {needed} needed")
+        return run[-1]
 
     def take(self, n: int) -> list:
         """The next n items (none for n <= 0); fewer only where the stream ends."""
@@ -144,6 +154,13 @@ class _DigitRow(Stream):
         digits, self._rem = _long_divide(self._rem, self._den, n)
         return list(digits.encode().translate(_DIGIT_VALUES))
 
+    def _skip(self, n: int = 1) -> int:
+        digits, self._rem = _long_divide(self._rem, self._den, n)
+        self.position += n
+        return int(digits[-1])
+
+    __next__ = _skip  # next() walks one item; a package row never stops iteration
+
 
 class _MetallicRow(Stream):
     __slots__ = ("_k",)
@@ -166,6 +183,12 @@ class _MetallicRow(Stream):
     def _pull(self, n: int) -> list[int]:
         return [self._k] * n
 
+    def _skip(self, n: int = 1) -> int:
+        self.position += n
+        return self._k
+
+    __next__ = _skip
+
 
 class _NamedRow(Stream):
     __slots__ = ("_quotient",)  # a(k): quotient k, in closed form
@@ -182,6 +205,13 @@ class _NamedRow(Stream):
 
     def _pull(self, n: int) -> list[int]:
         return list(map(self._quotient, range(self.position, self.position + n)))
+
+    def _skip(self, n: int = 1) -> int:
+        last = self._quotient(self.position + n - 1)  # pi past its table: RangeError, unmoved
+        self.position += n
+        return last
+
+    __next__ = _skip
 
 
 def calkin_wilf() -> Stream:
@@ -205,9 +235,9 @@ def calkin_wilf() -> Stream:
 def digits_of(x: Rational) -> Stream:
     """The fractional decimal digits of x >= 0, an int over an int, without end.
 
-    `take(k)` long-divides exactly the next k digits, up to 256 per step,
-    with no per-block check, and `next()` divides one; `entry(k)` is
-    `digit_at`, independent of the walk.
+    `take(k)` and a walk to the k-th next digit long-divide exactly k
+    digits, up to 256 per step; the walk hands out the last alone, with no
+    list. `entry(k)` is `digit_at`, independent of both.
     """
     return _DigitRow(x)
 

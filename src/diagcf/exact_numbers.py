@@ -84,8 +84,8 @@ def _check_index(name: str, k, first: float) -> int:
 
 
 def _check_rational(x) -> tuple[int, int]:
-    # x's numerator and denominator as ints, where x >= 0 is an int over an int >= 1 (numpy
-    # ints too, which would overflow in arithmetic); else the refusal
+    # x's numerator and denominator as ints in lowest terms, where x >= 0 is an int over an
+    # int >= 1 (numpy ints too, which would overflow in arithmetic); else the refusal
     try:
         num, den = operator.index(x.numerator), operator.index(x.denominator)
     except (AttributeError, TypeError):
@@ -94,11 +94,15 @@ def _check_rational(x) -> tuple[int, int]:
         raise DomainError(f"denominator must be >= 1, got {_digits_of_int(den)}")
     if num < 0:
         raise DomainError("negative input")
+    if type(x) is not Fraction and type(x) is not int:  # those two are reduced when made
+        return Fraction(num, den).as_integer_ratio()
     return num, den
 
 
 def make_rational(num: int, den: int) -> Rational:
     """Reduced fraction num/den; the sign ends up on the numerator."""
+    num = _check_index("numerator", num, float("-inf"))
+    den = _check_index("denominator", den, float("-inf"))
     if den == 0:
         raise DomainError("zero denominator")
     return Fraction(num, den)
