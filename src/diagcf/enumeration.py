@@ -9,12 +9,11 @@ rewinding means recreating the stream.
 
 The package's rows (`digits_of`, `metallic` and the named streams) are
 small `Stream` subclasses, checked once when built, whose runs, walks
-and `entry(k)` hand out items with no second check; a stream over an
-outside iterable has no `entry`, is walked, and checks each run it
-pulls. A rational's k digits are long-divided exactly, in O(1 + k/256)
-steps, by the block loop `expand` uses. A walk to a row's n-th next
-item hands out that item alone, with no list; a metallic or named row's
-walk reads the same `_k` or closed form as its `entry`.
+and `entry(k)` hand out items with no second check, a walk only its
+last item; a stream over an outside iterable has no `entry`, is walked,
+and checks each run it pulls. A rational's k digits are long-divided
+exactly, in O(1 + k/256) steps, by the block loop `expand` uses; a
+metallic or named row's walk reads its `entry`'s `_k` or closed form.
 """
 
 from __future__ import annotations

@@ -101,8 +101,9 @@ def _check_rational(x) -> tuple[int, int]:
 
 def make_rational(num: int, den: int) -> Rational:
     """Reduced fraction num/den; the sign ends up on the numerator."""
-    num = _check_index("numerator", num, float("-inf"))
-    den = _check_index("denominator", den, float("-inf"))
+    if type(num) is not int or type(den) is not int:  # a parse per literal: skip the calls
+        num = _check_index("numerator", num, float("-inf"))
+        den = _check_index("denominator", den, float("-inf"))
     if den == 0:
         raise DomainError("zero denominator")
     return Fraction(num, den)

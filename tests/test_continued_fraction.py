@@ -193,6 +193,12 @@ class TestConvergents:
             with pytest.raises(RangeError, match="^count 4 exceeds the 3 available terms$"):
                 convergents(source, 4)
 
+    @pytest.mark.parametrize("source", [None, 3, 2.5])
+    def test_non_iterable_source_is_a_domain_error(self, source):
+        # islice raised TypeError: 'NoneType' object is not iterable
+        with pytest.raises(DomainError, match="^partial quotients must be integers$"):
+            convergents(source, 3)
+
     def test_plain_list_obeys_the_quotient_rule(self):
         # these ended in ZeroDivisionError and in the value -1
         with pytest.raises(DomainError, match="^partial quotient at index 1 must be >= 1, got 0$"):

@@ -330,6 +330,38 @@ class TestRandomAccessRows:
         assert verify_differs(built, irrational_enumeration(300), 300) == (True, None)
 
 
+class TestVerifyWork:
+    """The verify walk's work, counted by spies from outside: the library pays nothing."""
+
+    DEPTH = 300
+
+    def test_digit_rows_divide_exactly_the_digits_walked(self, monkeypatch):
+        values = calkin_wilf().take(self.DEPTH)
+        built = decimal_diagonal([digits_of(v) for v in values], self.DEPTH)
+        asked, long_divide = [], enumeration._long_divide
+
+        def spy(rem, den, n):
+            asked.append(n)
+            return long_divide(rem, den, n)
+
+        monkeypatch.setattr(enumeration, "_long_divide", spy)
+        assert verify_differs(built, [digits_of(v) for v in values], self.DEPTH) == (True, None)
+        assert asked == list(range(1, self.DEPTH + 1))  # d calls, d(d+1)/2 digits
+
+    def test_quotient_rows_never_pull_a_run(self, monkeypatch):
+        metallic_built = cf_diagonal(irrational_enumeration(self.DEPTH), self.DEPTH)
+        e_rows = lambda: (named_cf_stream("e") for _ in range(self.DEPTH))  # noqa: E731
+        e_built = cf_diagonal(e_rows(), self.DEPTH)
+
+        def refuse(row, n):
+            raise AssertionError("verify_differs pulled a run from a package row")
+
+        for cls in (Stream, type(metallic(1)), type(named_cf_stream("e"))):
+            monkeypatch.setattr(cls, "_pull", refuse)
+        assert verify_differs(metallic_built, irrational_enumeration(self.DEPTH), self.DEPTH).ok
+        assert verify_differs(e_built, e_rows(), self.DEPTH).ok
+
+
 def long_division_row(x):
     """Row of x's fractional digits, long-divided one step per digit."""
 

@@ -18,6 +18,7 @@ from diagcf import continued_fraction, decimal_expansion, enumeration
 from diagcf import (
     PI_PARTIAL_QUOTIENTS,
     DomainError,
+    InputError,
     RangeError,
     Stream,
     calkin_wilf,
@@ -289,6 +290,61 @@ class TestRunPath:
             assert run == expected
             assert all(type(a) is int for a in run)
             assert stream.position == position
+
+
+class TestSkip:
+    """`_skip(n)`, the verify walk's step, hands out `take(n)[-1]` and leaves
+    the row where `take(n)` leaves it: same position, same remainder, same
+    items after."""
+
+    @staticmethod
+    def check(make, n, m):
+        walked, taken = make(), make()
+        assert walked._skip(n) == taken.take(n)[-1]
+        assert walked.position == taken.position == n
+        assert getattr(walked, "_rem", None) == getattr(taken, "_rem", None)
+        assert walked.take(m) == taken.take(m)
+
+    @settings(deadline=None)
+    @given(
+        walk_values,
+        st.sampled_from((1, 255, 256, 257, 513)) | st.integers(1, 3000),
+        st.integers(0, 600),
+    )
+    def test_digit_rows(self, x, n, m):
+        self.check(partial(digits_of, x), n, m)
+
+    @given(st.integers(1, 10**30), st.integers(1, 10**4), st.integers(0, 50))
+    def test_metallic_rows(self, k, n, m):
+        self.check(partial(metallic, k), n, m)
+
+    @given(st.sampled_from(["sqrt2", "e", "phi", "pi"]), st.integers(1, 48), st.integers(0, 48))
+    def test_named_rows(self, name, n, m):
+        if name == "pi":  # its table holds entries 0..47
+            m = min(m, 48 - n)
+        self.check(partial(named_cf_stream, name), n, m)
+
+    @pytest.mark.parametrize("n", [49, 50, 1000])
+    def test_pi_past_its_table(self, n):
+        walked, taken = named_cf_stream("pi"), named_cf_stream("pi")
+        with pytest.raises(RangeError, match="fixed table") as by_walk:
+            walked._skip(n)
+        with pytest.raises(RangeError, match="fixed table") as by_take:
+            taken.take(n)
+        assert str(by_walk.value) == str(by_take.value)
+        assert walked.position == taken.position == 0
+        assert walked._skip(48) == PI_PARTIAL_QUOTIENTS[47]
+
+    def test_bare_stream_walks_one_checked_run(self):
+        # verify_differs refuses such rows too: see test_planted_bad_item_in_a_walked_row
+        assert Stream(iter([3, 4, 5, 6]), "decimal")._skip(3) == 5
+        bad = Stream(iter([3, 12, 5]), "decimal")
+        with pytest.raises(DomainError, match="^digit out of range: 12$"):
+            bad._skip(3)
+        assert bad.position == 0
+        short = Stream(iter([1, 2]), "cf")
+        with pytest.raises(InputError, match="^row exhausted after 2 entries; position 3 needed$"):
+            short._skip(4)
 
 
 class TestPackageRowContract:

@@ -63,6 +63,30 @@ def test_make_rational_zero_denominator():
         make_rational(1, 0)
 
 
+@pytest.mark.parametrize(
+    "num, den, message",
+    [
+        (1.5, 2, "numerator must be an integer, got 1.5"),
+        (1, "2", "denominator must be an integer, got '2'"),
+        (Fraction(1, 2), 3, "numerator must be an integer, got Fraction(1, 2)"),
+        (None, 1, "numerator must be an integer, got None"),
+    ],
+)
+def test_make_rational_refuses_non_integer_parts(num, den, message):
+    # Fraction raised TypeError: both arguments should be Rational instances
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        make_rational(num, den)
+
+
+def test_rational_likes_are_read_in_lowest_terms():
+    # 2/4 as a plain record passed the rule unreduced: period_length_by_order reported
+    # preperiod 2, period_length 1, and expand the non-minimal 0.50(0)
+    x = types.SimpleNamespace(numerator=2, denominator=4)
+    assert period_length(x) == period_length_by_order(x) == (1, 1, True)
+    assert expand(x) == expand(Fraction(1, 2)) == parse_expansion("0.5(0)")
+    assert exact_numbers._check_rational(x) == (1, 2)
+
+
 def test_zero_is_zero_over_one():
     r = make_rational(0, -17)
     assert (r.numerator, r.denominator) == (0, 1)
