@@ -349,8 +349,10 @@ class TestVerifyWork:
         assert asked == list(range(1, self.DEPTH + 1))  # d calls, d(d+1)/2 digits
 
     def test_quotient_rows_never_pull_a_run(self, monkeypatch):
+        def e_rows():
+            return (named_cf_stream("e") for _ in range(self.DEPTH))
+
         metallic_built = cf_diagonal(irrational_enumeration(self.DEPTH), self.DEPTH)
-        e_rows = lambda: (named_cf_stream("e") for _ in range(self.DEPTH))  # noqa: E731
         e_built = cf_diagonal(e_rows(), self.DEPTH)
 
         def refuse(row, n):
