@@ -72,10 +72,10 @@ class DecimalExpansion(tuple):
             raise DomainError(f"integer part must be an integer, got {integer_part!r}") from None
         if integer_part < 0:
             raise DomainError("negative integer part")
-        if not period:
+        if period == "":
             raise DomainError("empty period")
         for block in (preperiod, period):
-            if block and not _is_digits(block):
+            if not isinstance(block, str) or block and not _is_digits(block):
                 raise DomainError(f"invalid digit block: {block!r}")
         if set(period) == {"9"}:
             raise DomainError("nine-repeating period unsupported")

@@ -112,7 +112,7 @@ class TestDecimalDiagonal:
             decimal_diagonal([[3.0]], 1)
 
     def test_numpy_digits_refused_by_the_digit_check(self):
-        # numpy ints pass bytes(); the digit check itself names them now
+        # numpy ints are int-likes, not ints: the digit check names them
         numpy = pytest.importorskip("numpy")
         message = r"^digit must be an integer, got np\.int64\(3\)$"
         with pytest.raises(DomainError, match=message):
@@ -362,6 +362,22 @@ class TestVerifyWork:
             monkeypatch.setattr(cls, "_pull", refuse)
         assert verify_differs(metallic_built, irrational_enumeration(self.DEPTH), self.DEPTH).ok
         assert verify_differs(e_built, e_rows(), self.DEPTH).ok
+
+
+def test_decimal_diagonal_reads_each_row_once_at_its_position(monkeypatch):
+    # decimal_diagonal's O(depth log depth), counted by a spy: over d digit rows,
+    # d calls of the O(log k) digit_at, the k-th on row k's value at position k
+    depth = 300
+    values = calkin_wilf().take(depth)
+    asked, digit_at = [], enumeration.digit_at
+
+    def spy(x, k):
+        asked.append((x, k))
+        return digit_at(x, k)
+
+    monkeypatch.setattr(enumeration, "digit_at", spy)
+    decimal_diagonal([digits_of(v) for v in values], depth)
+    assert asked == list(zip(values, range(1, depth + 1)))
 
 
 def long_division_row(x):
