@@ -35,7 +35,7 @@ __all__ = (
 def _check_quotients(index: int, run: Sequence[int]) -> None:
     # the one quotient rule, for the terms here and for cf rows: integers, a_0 >= 0 and
     # a_k >= 1 after it; `index` is the index of run[0]. Item by item: no workload walks
-    # a cf run from outside the package, and `convert`'s short runs measured no slower
+    # a cf run from outside the package, and `convert`'s short runs check faster this way
     for a in run:
         if not isinstance(a, int):
             raise DomainError(f"partial quotient must be an integer, got {a!r}")

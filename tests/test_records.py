@@ -116,7 +116,7 @@ def test_checked_values_offer_no_unchecked_constructor(cls, public):
     ["1a", " 1", "\N{ARABIC-INDIC DIGIT THREE}", "\N{SUPERSCRIPT TWO}", None, 5, b"12", ["1"]],
 )
 def test_digit_blocks_are_ascii_digits(block):
-    # a block that is no str is refused too: None printed as "None", and 5 raised AttributeError
+    # a block that is no str is refused too, bytes of ASCII digits among them
     with pytest.raises(DomainError, match="invalid digit block"):
         DecimalExpansion(0, block, "0")
     with pytest.raises(DomainError, match="invalid digit block"):
