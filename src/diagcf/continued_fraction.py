@@ -21,7 +21,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import DomainError, RangeError
 from .exact_numbers import (
-    Rational, _check_count, _check_rational, _digits_of_int, _int_from_digits, _is_digits,
+    Rational, _check_count, _check_rational, _check_text, _digits_of_int, _int_from_digits,
+    _is_digits,
 )
 
 __all__ = (
@@ -100,9 +101,8 @@ CFLike = Union[ContinuedFraction, Iterable[int]]
 
 
 def _euclid(num: int, den: int) -> Iterator[int]:
-    # the quotients of Euclid's gcd algorithm on num/den >= 0, den >= 1:
-    # plain ints, a_0 >= 0 and a_k >= 1 after it, so they pass the rule
-    num, den = operator.index(num), operator.index(den)
+    # the quotients of Euclid's gcd algorithm on plain ints num/den >= 0, den >= 1, as
+    # `_check_rational` and `_exact` give them: a_0 >= 0 and a_k >= 1 after it, plain ints
     while den:
         a, rem = divmod(num, den)
         yield a
@@ -163,12 +163,14 @@ def convergents(source, count: int) -> list[Convergent]:
     return [Convergent(i, Fraction(h, k)) for i, (_, h, k) in enumerate(_convergents(quotients))]
 
 
-def _exact(value, name: str) -> Fraction:
-    # Fraction() raises ValueError on nan and OverflowError on +-inf
+def _exact(value, name: str) -> tuple[int, int]:
+    # value's exact ratio as plain ints, since a Fraction keeps numpy parts, which overflow;
+    # Fraction() raises ValueError on nan, OverflowError on +-inf, TypeError on a non-number
     try:
-        return Fraction(value)
-    except (ValueError, OverflowError):
+        num, den = Fraction(value).as_integer_ratio()
+    except (ValueError, OverflowError, TypeError):
         raise DomainError(f"{name} must be a finite number, got {value!r}") from None
+    return operator.index(num), operator.index(den)
 
 
 def from_real_approx(x, eps) -> ContinuedFraction:
@@ -179,12 +181,12 @@ def from_real_approx(x, eps) -> ContinuedFraction:
     in integers, taking Euclid's quotients of tn/td and stopping at the
     first convergent h/k with |tn*k - h*td| * ed <= en * td * k. The
     result is canonicalized (the value is unchanged by that). A
-    non-finite x or eps (nan, inf) is a DomainError.
+    non-finite x or eps (nan, inf) or a non-number is a DomainError.
     """
-    en, ed = _exact(eps, "eps").as_integer_ratio()
+    en, ed = _exact(eps, "eps")
     if en <= 0:
         raise DomainError("eps must be positive")
-    tn, td = _exact(x, "input").as_integer_ratio()
+    tn, td = _exact(x, "input")
     if tn <= 0:
         raise DomainError("positive input required")
     terms: list[int] = []
@@ -213,8 +215,11 @@ def approximation_compare(
     target: Rational, cf_approx: Rational, decimal_approx: Rational
 ) -> ApproximationComparison:
     """Which of the two approximations sits closer to the target."""
-    cf_error = abs(target - cf_approx)
-    decimal_error = abs(target - decimal_approx)
+    try:
+        cf_error, decimal_error = abs(target - cf_approx), abs(target - decimal_approx)
+    except TypeError:
+        names = ", ".join(type(v).__name__ for v in (target, cf_approx, decimal_approx))
+        raise DomainError(f"target and approximations must be numbers, got {names}") from None
     if cf_error < decimal_error:
         closer = "cf"
     elif decimal_error < cf_error:
@@ -231,7 +236,7 @@ def to_plain_string(cf: CFLike) -> str:
 
 def parse_cf(text: str) -> ContinuedFraction:
     """Parse "[a0; a1, a2, ...]" or the space-separated "a0 a1 a2"."""
-    s = text.strip()
+    s = _check_text("text", text)
     if s.startswith("[") and s.endswith("]"):
         head, sep, tail = s[1:-1].partition(";")
         parts = [head, *tail.split(",")] if sep else [head]

@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 from .errors import DomainError, RangeError
 from .exact_numbers import (
-    Rational, _check_index, _check_rational, _digits_of_int, _int_from_digits, _is_digits,
-    to_string,
+    Rational, _check_index, _check_rational, _check_text, _digits_of_int, _int_from_digits,
+    _is_digits, to_string,
 )
 
 __all__ = (
@@ -199,6 +199,9 @@ def multiplicative_order(base: int, modulus: int) -> int:
     (no counterexample is known). A number that rho cannot split within
     `_factoring.MAX_RHO_STEPS` steps is a RangeError.
     """
+    if type(base) is not int or type(modulus) is not int:
+        base = _check_index("base", base, float("-inf"))
+        modulus = _check_index("modulus", modulus, float("-inf"))
     if modulus < 2:
         raise DomainError("modulus must be >= 2")
     if math.gcd(base, modulus) != 1:
@@ -230,10 +233,13 @@ def reconstruct(e: DecimalExpansion) -> Rational:
     w.u(v) = w + (int(uv) - int(u)) / (10^|u| * (10^|v| - 1)), the
     geometric-series closed form; an empty preperiod reads as 0.
     """
-    u, v = e.preperiod, e.period
+    try:
+        w, u, v = e.integer_part, e.preperiod, e.period
+    except AttributeError:
+        raise DomainError(f"e is not a decimal expansion: {type(e).__name__}") from None
     den = 10 ** len(u) * (10 ** len(v) - 1)
     num = _int_from_digits(u + v) - _int_from_digits(u or "0")
-    return Fraction(e.integer_part * den + num, den)
+    return Fraction(w * den + num, den)
 
 
 def find_period_at_least(min_length: int) -> Rational:
@@ -260,7 +266,7 @@ def find_period_at_least(min_length: int) -> Rational:
 
 def parse_expansion(text: str) -> DecimalExpansion:
     """Parse "w.uu(vv)", e.g. "0.23(45)" or "5.(0)"; `DecimalExpansion` checks uu and vv."""
-    whole, dot, rest = text.strip().partition(".")
+    whole, dot, rest = _check_text("text", text).partition(".")
     preperiod, paren, period = rest.partition("(")
     if not (dot and paren and period.endswith(")") and _is_digits(whole)):
         raise DomainError(f"invalid expansion literal: {text!r}")

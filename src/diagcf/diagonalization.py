@@ -132,6 +132,14 @@ class RationalDiagonalReport(NamedTuple):
         return tuple(r for r in self.rulings if not r.consistent)
 
 
+def _check_iterable(name: str, items: Iterable) -> Iterator:
+    # an iterator over items, where items is an iterable; else the refusal
+    try:
+        return iter(items)
+    except TypeError:
+        raise InputError(f"{name} must be iterable, got {type(items).__name__}") from None
+
+
 def _rows(rows: Iterable, depth: int, kind: str, least: int) -> Iterator[tuple[int, Stream]]:
     # (k, row k) for k = 1..depth, depth checked first; one row is pulled per position and
     # none is held once read, and a bare iterable is wrapped once to pass its kind's check
@@ -139,7 +147,7 @@ def _rows(rows: Iterable, depth: int, kind: str, least: int) -> Iterator[tuple[i
     if depth < least:
         raise DomainError(f"depth must be >= {least}")
     k = 0
-    for k, row in zip(range(1, depth + 1), rows):
+    for k, row in zip(range(1, depth + 1), _check_iterable("rows", rows)):
         if not isinstance(row, Stream):
             row = Stream(row, kind)
         elif row.kind != kind:
@@ -215,7 +223,7 @@ def verify_differs(constructed, rows: Iterable, depth: int) -> VerifyResult:
     and renders all O(depth^2) digits, in O(depth + depth^2/256) block
     divisions of up to 256 digits, independent of the construction's
     `digit_at`. Over `metallic` and named rows it takes O(depth) Python
-    steps, but reads the same `_k` or closed form as their `entry`: there
+    steps, but reads the same k or closed form as their `entry`: there
     the two checks are one route, independent in name only. Depth 0 is
     vacuously true.
     """
@@ -241,7 +249,7 @@ def cf_diagonal_over_rationals(enumeration: Iterable[Rational]) -> CFDiagonalFai
     enumeration of all positive rationals must) ends at that point or
     earlier.
     """
-    for k, value in enumerate(enumeration, start=1):
+    for k, value in enumerate(_check_iterable("enumeration", enumeration), start=1):
         cf = from_rational(value)
         if len(cf) - 1 < k:
             return CFDiagonalFailure(k, value, cf)
@@ -259,7 +267,11 @@ def rule_out_periods(
     a finite prefix can rule shapes out but can never certify one. The
     prefix must hold at least max_preperiod + 2*max_period digits.
     """
-    max_preperiod, max_period, n = _check_shape(max_preperiod, max_period, len(digits))
+    try:
+        n = len(digits)
+    except TypeError:
+        raise InputError(f"digits must be a sequence, got {type(digits).__name__}") from None
+    max_preperiod, max_period, n = _check_shape(max_preperiod, max_period, n)
     rulings: list[PeriodRuling] = []
     for p in range(max_preperiod + 1):
         for l in range(1, max_period + 1):
@@ -286,7 +298,7 @@ def rational_diagonal_analysis(
     shape gets at least one full period-against-period comparison.
     """
     max_preperiod, max_period, depth = _check_shape(max_preperiod, max_period, depth)
-    diagonal = decimal_diagonal(map(digits_of, enumeration), depth)
+    diagonal = decimal_diagonal(map(digits_of, _check_iterable("enumeration", enumeration)), depth)
     rulings = tuple(rule_out_periods(diagonal.digits, max_preperiod, max_period))
     return RationalDiagonalReport(depth, max_preperiod, max_period, diagonal, rulings)
 
@@ -296,6 +308,8 @@ def format_witnesses(result, fmt: str = "table") -> str:
     "k<TAB>diag<TAB>constructed" rows."""
     if fmt not in ("table", "tsv"):
         raise DomainError(f"unknown format: {fmt!r}")
+    if not isinstance(result, (DecimalDiagonalResult, CFDiagonalResult)):
+        raise InputError(f"result is not a diagonal result: {type(result).__name__}")
     diag_label, built_label = result.labels
     lines = [] if fmt == "tsv" else [f"{'k':>6}  {diag_label:>8}  {built_label:>8}  differs"]
     for w in result.witnesses:

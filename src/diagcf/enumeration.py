@@ -13,21 +13,21 @@ and `entry(k)` hand out items with no second check, a walk only its
 last item; a stream over an outside iterable has no `entry`, is walked,
 and checks each run it pulls. A rational's k digits are long-divided
 exactly, in O(1 + k/256) steps, by the block loop `expand` uses; a
-metallic or named row's walk reads its `entry`'s `_k` or closed form.
+metallic row's walk and `entry` read k with no call, a named row's a(k).
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .continued_fraction import _check_quotients
 from .decimal_expansion import _long_divide, digit_at
 from .errors import DomainError, InputError, RangeError
 from .exact_numbers import (
-    Rational, _check_count, _check_index, _check_rational, _digits_of_int, _int_from_digits,
-    _is_digits,
+    Rational, _check_count, _check_index, _check_rational, _check_text, _digits_of_int,
+    _int_from_digits, _is_digits,
 )
 
 __all__ = (
@@ -84,7 +84,10 @@ class Stream:
             self.first_index, self._check = KINDS[kind]
         except KeyError:
             raise DomainError(f"unknown kind: {kind!r}") from None
-        self._items = iter(items)
+        try:
+            self._items = iter(items)
+        except TypeError:
+            raise InputError(f"items must be iterable, got {type(items).__name__}") from None
         self.kind = kind
         self.position = 0
 
@@ -153,54 +156,32 @@ class _DigitRow(Stream):
     __next__ = _skip  # next() walks one item; a package row never stops iteration
 
 
-class _MetallicRow(Stream):
-    __slots__ = ("_k",)
+class _QuotientRow(Stream):
+    __slots__ = ("_a",)  # a metallic row's int k, or a named row's closed form a(k)
     kind, first_index = "cf", 0
 
-    def __init__(self, k: int):
-        if type(k) is not int:  # an int >= 1 passes the quotient rule; the rule refuses
-            _check_quotients(1, (k,))  # anything else with its own message
-            k = int(k)  # True passes as 1
-        if k < 1:
-            raise DomainError("metallic index must be >= 1")
-        self._k = k
+    def __init__(self, a):
+        self._a = a
         self.position = 0
 
     def entry(self, k: int) -> int:
         if type(k) is not int or k < 0:
             k = _check_index("entry index", k, 0)
-        return self._k
+        a = self._a
+        return a if type(a) is int else a(k)  # a metallic read makes no call
 
     def _pull(self, n: int) -> list[int]:
-        return [self._k] * n
+        a = self._a
+        if type(a) is int:
+            return [a] * n
+        return list(map(a, range(self.position, self.position + n)))
 
     def _skip(self, n: int = 1) -> int:
+        a = self._a
+        if type(a) is not int:
+            a = a(self.position + n - 1)  # pi past its table: RangeError, unmoved
         self.position += n
-        return self._k
-
-    __next__ = _skip
-
-
-class _NamedRow(Stream):
-    __slots__ = ("_quotient",)  # a(k): quotient k, in closed form
-    kind, first_index = "cf", 0
-
-    def __init__(self, quotient: Callable[[int], int]):
-        self._quotient = quotient
-        self.position = 0
-
-    def entry(self, k: int) -> int:
-        if type(k) is not int or k < 0:
-            k = _check_index("entry index", k, 0)
-        return self._quotient(k)
-
-    def _pull(self, n: int) -> list[int]:
-        return list(map(self._quotient, range(self.position, self.position + n)))
-
-    def _skip(self, n: int = 1) -> int:
-        last = self._quotient(self.position + n - 1)  # pi past its table: RangeError, unmoved
-        self.position += n
-        return last
+        return a
 
     __next__ = _skip
 
@@ -235,7 +216,12 @@ def digits_of(x: Rational) -> Stream:
 
 def metallic(k: int) -> Stream:
     """[k; k, k, k, ...]; k = 1 is the golden ratio. k is checked here, once."""
-    return _MetallicRow(k)
+    if type(k) is not int:  # an int >= 1 passes the quotient rule; the rule refuses
+        _check_quotients(1, (k,))  # anything else with its own message
+        k = int(k)  # True passes as 1
+    if k < 1:
+        raise DomainError("metallic index must be >= 1")
+    return _QuotientRow(k)
 
 
 def _e_quotient(k: int) -> int:
@@ -259,9 +245,9 @@ _CLOSED_FORMS = {"sqrt2": lambda k: 2 if k else 1, "e": _e_quotient, "pi": _pi_q
 
 def named_cf_stream(name: str) -> Stream:
     """Fresh stream for sqrt2, e, phi, pi or metallic:<k>."""
-    key = name.strip().lower()
+    key = _check_text("name", name).lower()
     if key in _CLOSED_FORMS:
-        return _NamedRow(_CLOSED_FORMS[key])
+        return _QuotientRow(_CLOSED_FORMS[key])
     if key == "phi":
         return metallic(1)
     if key.startswith("metallic:"):

@@ -73,6 +73,13 @@ def _check_count(name: str, n: int) -> int:
     return n
 
 
+def _check_text(name: str, text: str) -> str:
+    # text without its surrounding whitespace, where text is a str; else the refusal
+    if not isinstance(text, str):
+        raise DomainError(f"{name} must be a str, got {type(text).__name__}")
+    return text.strip()
+
+
 def _check_index(name: str, k, first: float) -> int:
     # k as an int where operator.index takes it (numpy ints too) and k >= first; else the refusal
     if isinstance(k, numbers.Real) and k < first:  # a float or Fraction too
@@ -111,14 +118,18 @@ def make_rational(num: int, den: int) -> Rational:
 
 def to_string(x: Rational) -> str:
     """"p/q" in lowest terms, or plain "p" when the denominator is 1."""
-    if x.denominator == 1:
-        return _digits_of_int(x.numerator)
-    return f"{_digits_of_int(x.numerator)}/{_digits_of_int(x.denominator)}"
+    try:
+        num, den = x.numerator, x.denominator
+    except AttributeError:
+        raise DomainError(f"x must be a rational, got {x!r}") from None
+    if den == 1:
+        return _digits_of_int(num)
+    return f"{_digits_of_int(num)}/{_digits_of_int(den)}"
 
 
 def parse_rational(text: str) -> Rational:
     """Parse "p", "-p" or "p/q"; digit strings may be arbitrarily long."""
-    num, slash, den = text.strip().partition("/")
+    num, slash, den = _check_text("text", text).partition("/")
     if not (_is_digits(num.removeprefix("-")) and (not slash or _is_digits(den))):
         raise DomainError(f"invalid rational literal: {text!r}")
     return make_rational(_int_from_digits(num), _int_from_digits(den or "1"))

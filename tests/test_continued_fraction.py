@@ -353,6 +353,11 @@ class TestApproximationCompare:
         report = approximation_compare(Fraction(1, 2), Fraction(0), Fraction(1, 2))
         assert report.closer == "decimal"
 
+    def test_floats_compare_as_floats(self):
+        # the refusal of non-numbers leaves float arithmetic as it was
+        report = approximation_compare(0.5, Fraction(1, 3), 0.25)
+        assert report == (0.5 - Fraction(1, 3), 0.25, "cf") and type(report.cf_error) is float
+
 
 # the public entries that take partial quotients from outside the package
 TERM_ENTRIES = {
@@ -427,7 +432,10 @@ def test_numpy_inputs_give_plain_int_terms():
     numpy = pytest.importorskip("numpy")
     x = Fraction(numpy.int64(7), 3)
     assert type(x.numerator) is not int  # Fraction keeps numpy's numerator
-    for cf in (from_rational(x), from_rational(numpy.int64(7)), from_real_approx(x, 1e-3)):
+    # numpy parts of eps used to reach the loop's bound, and overflow there past 2^63
+    tiny = Fraction(numpy.int64(1), numpy.int64(10**18))
+    approximated = from_real_approx(Fraction(10**40 + 1, 3 * 10**40), tiny)
+    for cf in (from_rational(x), from_rational(numpy.int64(7)), from_real_approx(x, 1e-3), approximated):
         assert {type(a) for a in cf} == {int}
 
 

@@ -4,7 +4,6 @@ import re
 import subprocess
 import sys
 import time
-import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -196,10 +195,10 @@ class TestPeriodLength:
             e = expand_by_digit(x)
             assert period_length(x) == PeriodReport(len(e.period), len(e.preperiod), e.period == "0")
 
-    def test_refusal_walks_the_cycle_once(self, monkeypatch):
-        # 10 has order (10^12 + 38) / 6 modulo the prime 10^12 + 39; the
-        # walk jumps past the preperiod bound and then takes at most
-        # MAX_DIGITS remainder steps before it refuses
+    @staticmethod
+    def count_steps(monkeypatch, x):
+        # the walk's `% q` steps, counted on the denominator that the real
+        # rational check hands the walk: (report or refusal, steps)
         class CountingInt(int):
             steps = 0
 
@@ -207,12 +206,41 @@ class TestPeriodLength:
                 CountingInt.steps += 1
                 return int.__rmod__(self, other)
 
+        check = diagcf.decimal_expansion._check_rational
+
+        def counting_check(value):
+            num, den = check(value)
+            return num, CountingInt(den)
+
+        monkeypatch.setattr(diagcf.decimal_expansion, "_check_rational", counting_check)
+        try:
+            outcome = period_length(x)
+        except RangeError as refusal:
+            outcome = refusal
+        return outcome, CountingInt.steps
+
+    def test_refusal_walks_the_cycle_once(self, monkeypatch):
+        # 10 has order (10^12 + 38) / 6 modulo the prime 10^12 + 39; the
+        # walk jumps past the preperiod bound in one modular power and then
+        # takes MAX_DIGITS remainder steps before it refuses
         monkeypatch.setattr(diagcf.decimal_expansion, "MAX_DIGITS", 1000)
-        q = CountingInt(1000000000039)
-        x = types.SimpleNamespace(numerator=1, denominator=q)
-        with pytest.raises(RangeError, match="^the expansion of 1/1000000000039 has more than 1000 digits$"):
-            period_length(x)
-        assert CountingInt.steps <= 1000 + 2 * q.bit_length()
+        refusal, steps = self.count_steps(monkeypatch, Fraction(1, 1000000000039))
+        assert isinstance(refusal, RangeError)
+        assert str(refusal) == "the expansion of 1/1000000000039 has more than 1000 digits"
+        assert steps == 1000 + 2
+
+    @pytest.mark.parametrize("x, report", [
+        (Fraction(1, 7), PeriodReport(6, 0, False)),
+        (Fraction(169, 550), PeriodReport(2, 2, False)),
+        (Fraction(1, 2**300 * 7), PeriodReport(6, 300, False)),
+        (Fraction(1, 10007), PeriodReport(10006, 0, False)),
+        (Fraction(0), PeriodReport(1, 0, True)),
+    ])
+    def test_walk_that_returns_takes_lambda_plus_twice_mu_steps(self, monkeypatch, x, report):
+        # two steps to reach the cycle, lambda to walk it, one to place the
+        # walker ahead, and two per preperiod digit while the walkers meet
+        steps = report.period_length + 2 * report.preperiod_length + 3
+        assert self.count_steps(monkeypatch, x) == (report, steps)
 
 
 class TestDigitLimit:

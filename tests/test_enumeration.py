@@ -420,6 +420,37 @@ class TestPackageRowContract:
         assert len(rows) == 2000
         assert grown <= 2 * len(rows)
 
+    @staticmethod
+    def calls_under(method, *args):
+        # the functions, Python or C, called while method(*args) runs, itself first
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+            elif event == "c_call":
+                calls.append(arg.__name__)
+
+        sys.setprofile(profile)
+        try:
+            value = method(*args)
+        finally:
+            sys.setprofile(None)
+        return value, calls[:-1]  # the last call is setprofile's own
+
+    def test_metallic_reads_make_no_call(self):
+        # one row class serves metallic and named rows: its int k is read with no
+        # call beneath the read, while a named row calls its closed form
+        third = metallic(3)
+        assert self.calls_under(third.entry, 10**6) == (3, ["entry"])
+        assert self.calls_under(third._skip, 500) == (3, ["_skip"])
+        assert self.calls_under(third.__next__) == (3, ["_skip"])
+        assert third.position == 501
+        e = named_cf_stream("e")
+        assert self.calls_under(e.entry, 5) == (4, ["entry", "_e_quotient"])
+        assert self.calls_under(e._skip, 6) == (4, ["_skip", "_e_quotient"])
+        assert type(third) is type(e) is type(named_cf_stream("phi"))
+
 
 def e_quotients():
     """e = [2; 1, 2, 1, 1, 4, 1, 1, 6, ...] as a walk: the reference for e's closed form."""

@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import diagcf
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "diagcf"
@@ -41,3 +43,46 @@ def test_package_holds_no_assert_statement():
     ]
     assert len(list(SRC.glob("*.py"))) >= 8
     assert found == []
+
+
+RESULT = diagcf.cf_diagonal(diagcf.irrational_enumeration(2), 2)
+
+# each of these used to end in an AttributeError or a TypeError
+HOSTILE_CALLS = [
+    ("parse_rational", (5,), diagcf.DomainError, "text must be a str, got int"),
+    ("parse_cf", (None,), diagcf.DomainError, "text must be a str, got NoneType"),
+    ("parse_expansion", (5,), diagcf.DomainError, "text must be a str, got int"),
+    ("named_cf_stream", (None,), diagcf.DomainError, "name must be a str, got NoneType"),
+    ("to_string", (1.5,), diagcf.DomainError, "x must be a rational, got 1.5"),
+    ("reconstruct", (None,), diagcf.DomainError, "e is not a decimal expansion: NoneType"),
+    ("format_witnesses", (None,), diagcf.InputError, "result is not a diagonal result: NoneType"),
+    ("decimal_diagonal", (None, 2), diagcf.InputError, "rows must be iterable, got NoneType"),
+    ("cf_diagonal", (None, 2), diagcf.InputError, "rows must be iterable, got NoneType"),
+    ("verify_differs", (RESULT, None, 2), diagcf.InputError, "rows must be iterable, got NoneType"),
+    ("cf_diagonal_over_rationals", (None,), diagcf.InputError,
+     "enumeration must be iterable, got NoneType"),
+    ("rational_diagonal_analysis", (None, 20, 1, 1), diagcf.InputError,
+     "enumeration must be iterable, got NoneType"),
+    ("Stream", (None, "cf"), diagcf.InputError, "items must be iterable, got NoneType"),
+    ("rule_out_periods", (None, 0, 1), diagcf.InputError, "digits must be a sequence, got NoneType"),
+    ("multiplicative_order", ("a", 7), diagcf.DomainError, "base must be an integer, got 'a'"),
+    ("multiplicative_order", (10, 7.5), diagcf.DomainError, "modulus must be an integer, got 7.5"),
+    ("multiplicative_order", (10, None), diagcf.DomainError, "modulus must be an integer, got None"),
+    ("approximation_compare", ("a", 1, 1), diagcf.DomainError,
+     "target and approximations must be numbers, got str, int, int"),
+    ("approximation_compare", (None, 1, 1), diagcf.DomainError,
+     "target and approximations must be numbers, got NoneType, int, int"),
+    ("from_real_approx", (None, 1e-9), diagcf.DomainError, "input must be a finite number, got None"),
+    ("from_real_approx", (1.5, None), diagcf.DomainError, "eps must be a finite number, got None"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, args, error, message", HOSTILE_CALLS,
+    ids=[f"{name}({', '.join('result' if a is RESULT else repr(a) for a in args)})"
+         for name, args, _, _ in HOSTILE_CALLS],
+)
+def test_hostile_argument_gets_a_typed_refusal(name, args, error, message):
+    with pytest.raises(error) as refusal:
+        getattr(diagcf, name)(*args)
+    assert type(refusal.value) is error and str(refusal.value) == message
