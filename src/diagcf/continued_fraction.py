@@ -102,7 +102,7 @@ CFLike = Union[ContinuedFraction, Iterable[int]]
 
 def _euclid(num: int, den: int) -> Iterator[int]:
     # the quotients of Euclid's gcd algorithm on plain ints num/den >= 0, den >= 1, as
-    # `_check_rational` and `_exact` give them: a_0 >= 0 and a_k >= 1 after it, plain ints
+    # `_check_rational` and `_exact` give them: ints a_0 >= 0, then a_k >= 1, as the rule asks
     while den:
         a, rem = divmod(num, den)
         yield a
