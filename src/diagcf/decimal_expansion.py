@@ -66,10 +66,8 @@ class DecimalExpansion(tuple):
     period = property(operator.itemgetter(2))
 
     def __new__(cls, integer_part: int, preperiod: str, period: str) -> DecimalExpansion:
-        try:
-            integer_part = operator.index(integer_part)
-        except TypeError:
-            raise DomainError(f"integer part must be an integer, got {integer_part!r}") from None
+        if type(integer_part) is not int:  # two per `convert` op: skip the call
+            integer_part = _check_index("integer part", integer_part, float("-inf"))
         if integer_part < 0:
             raise DomainError("negative integer part")
         if period == "":

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .continued_fraction import ContinuedFraction, from_rational
 from .enumeration import Stream, digits_of
 from .errors import DomainError, InputError, RangeError
-from .exact_numbers import Rational, _check_count, _check_index, _digits_of_int
+from .exact_numbers import Rational, _check_count, _check_index, _check_iterable, _digits_of_int
 
 __all__ = (
     "CFDiagonalFailure", "CFDiagonalResult", "DecimalDiagonalResult",
@@ -130,14 +130,6 @@ class RationalDiagonalReport(NamedTuple):
     @property
     def ruled_out(self) -> tuple[PeriodRuling, ...]:
         return tuple(r for r in self.rulings if not r.consistent)
-
-
-def _check_iterable(name: str, items: Iterable) -> Iterator:
-    # an iterator over items, where items is an iterable; else the refusal
-    try:
-        return iter(items)
-    except TypeError:
-        raise InputError(f"{name} must be iterable, got {type(items).__name__}") from None
 
 
 def _rows(rows: Iterable, depth: int, kind: str, least: int) -> Iterator[tuple[int, Stream]]:

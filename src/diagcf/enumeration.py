@@ -26,8 +26,8 @@ from .continued_fraction import _check_quotients
 from .decimal_expansion import _long_divide, digit_at
 from .errors import DomainError, InputError, RangeError
 from .exact_numbers import (
-    Rational, _check_count, _check_index, _check_rational, _check_text, _digits_of_int,
-    _int_from_digits, _is_digits,
+    Rational, _check_count, _check_index, _check_iterable, _check_rational, _check_text,
+    _digits_of_int, _int_from_digits, _is_digits,
 )
 
 __all__ = (
@@ -84,10 +84,7 @@ class Stream:
             self.first_index, self._check = KINDS[kind]
         except KeyError:
             raise DomainError(f"unknown kind: {kind!r}") from None
-        try:
-            self._items = iter(items)
-        except TypeError:
-            raise InputError(f"items must be iterable, got {type(items).__name__}") from None
+        self._items = _check_iterable("items", items)
         self.kind = kind
         self.position = 0
 

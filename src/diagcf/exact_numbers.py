@@ -14,7 +14,7 @@ import operator
 import sys
 from fractions import Fraction
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, InputError, RangeError
 
 __all__ = ("Rational", "make_rational", "parse_rational", "to_string")
 
@@ -78,6 +78,14 @@ def _check_text(name: str, text: str) -> str:
     if not isinstance(text, str):
         raise DomainError(f"{name} must be a str, got {type(text).__name__}")
     return text.strip()
+
+
+def _check_iterable(name: str, items):
+    # an iterator over items, where items is an iterable; else the refusal
+    try:
+        return iter(items)
+    except TypeError:
+        raise InputError(f"{name} must be iterable, got {type(items).__name__}") from None
 
 
 def _check_index(name: str, k, first: float) -> int:
