@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 from .errors import DomainError, RangeError
 from .exact_numbers import (
     Rational, _check_count, _check_rational, _check_text, _digits_of_int, _int_from_digits,
-    _is_digits,
+    _is_digits, _quote,
 )
 
 __all__ = (
@@ -39,7 +39,7 @@ def _check_quotients(index: int, run: Sequence[int]) -> None:
     # a cf run from outside the package, and `convert`'s short runs check faster this way
     for a in run:
         if not isinstance(a, int):
-            raise DomainError(f"partial quotient must be an integer, got {a!r}")
+            raise DomainError(f"partial quotient must be an integer, got {_quote(a)}")
     for k, a in enumerate(run, index):
         if k == 0 and a < 0:
             raise DomainError(f"first partial quotient must be >= 0, got {_digits_of_int(a)}")
@@ -169,7 +169,7 @@ def _exact(value, name: str) -> tuple[int, int]:
     try:
         num, den = Fraction(value).as_integer_ratio()
     except (ValueError, OverflowError, TypeError):
-        raise DomainError(f"{name} must be a finite number, got {value!r}") from None
+        raise DomainError(f"{name} must be a finite number, got {_quote(value)}") from None
     return operator.index(num), operator.index(den)
 
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .errors import DomainError, RangeError
 from .exact_numbers import (
     Rational, _check_index, _check_rational, _check_text, _digits_of_int, _int_from_digits,
-    _is_digits, to_string,
+    _is_digits, _quote, to_string,
 )
 
 __all__ = (
@@ -74,8 +74,8 @@ class DecimalExpansion(tuple):
             raise DomainError("empty period")
         for block in (preperiod, period):
             if not isinstance(block, str) or block and not _is_digits(block):
-                raise DomainError(f"invalid digit block: {block!r}")
-        if set(period) == {"9"}:
+                raise DomainError(f"invalid digit block: {_quote(block)}")
+        if not period.strip("9"):
             raise DomainError("nine-repeating period unsupported")
         return super().__new__(cls, (integer_part, preperiod, period))
 

@@ -19,7 +19,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .continued_fraction import ContinuedFraction, from_rational
 from .enumeration import Stream, digits_of
 from .errors import DomainError, InputError, RangeError
-from .exact_numbers import Rational, _check_count, _check_index, _check_iterable, _digits_of_int
+from .exact_numbers import (
+    Rational, _check_count, _check_index, _check_iterable, _digits_of_int, _quote,
+)
 
 __all__ = (
     "CFDiagonalFailure", "CFDiagonalResult", "DecimalDiagonalResult",
@@ -299,7 +301,7 @@ def format_witnesses(result, fmt: str = "table") -> str:
     """A result's witness table, under its kind's labels: aligned columns, or
     "k<TAB>diag<TAB>constructed" rows."""
     if fmt not in ("table", "tsv"):
-        raise DomainError(f"unknown format: {fmt!r}")
+        raise DomainError(f"unknown format: {_quote(fmt)}")
     if not isinstance(result, (DecimalDiagonalResult, CFDiagonalResult)):
         raise InputError(f"result is not a diagonal result: {type(result).__name__}")
     diag_label, built_label = result.labels

@@ -27,7 +27,7 @@ from .decimal_expansion import _long_divide, digit_at
 from .errors import DomainError, InputError, RangeError
 from .exact_numbers import (
     Rational, _check_count, _check_index, _check_iterable, _check_rational, _check_text,
-    _digits_of_int, _int_from_digits, _is_digits,
+    _digits_of_int, _int_from_digits, _is_digits, _quote,
 )
 
 __all__ = (
@@ -53,7 +53,7 @@ def _check_digits(index: int, run: Sequence[int]) -> None:
     # and no workload walks one: the package rows make digits that need no check
     for d in run:
         if not isinstance(d, int):
-            raise DomainError(f"digit must be an integer, got {d!r}")
+            raise DomainError(f"digit must be an integer, got {_quote(d)}")
         if not 0 <= d <= 9:
             raise DomainError(f"digit out of range: {_digits_of_int(d)}")
 
@@ -82,8 +82,8 @@ class Stream:
     def __init__(self, items: Iterable, kind: str):
         try:
             self.first_index, self._check = KINDS[kind]
-        except KeyError:
-            raise DomainError(f"unknown kind: {kind!r}") from None
+        except (KeyError, TypeError):  # TypeError: an unhashable kind
+            raise DomainError(f"unknown kind: {_quote(kind)}") from None
         self._items = _check_iterable("items", items)
         self.kind = kind
         self.position = 0

@@ -47,13 +47,22 @@ def _int_from_digits(s: str) -> int:
     return _int_from_digits(s[:-low]) * 10**low + _int_from_digits(s[-low:])
 
 
+def _quote(x, render=repr) -> str:
+    # render(x) for a refusal message, or x's type name where rendering x passes the
+    # int/str limit, as repr(Fraction(10**5000 + 1, 2)) does with a ValueError
+    try:
+        return render(x)
+    except ValueError:
+        return type(x).__name__
+
+
 def _digits_of_int(n: int) -> str:
     """The digits of an int of any size; a bool prints as 0 or 1, and a
-    value that is no int, which only a refusal quotes, as its str()."""
+    value that is no int, which only a refusal quotes, as `_quote` gives its str()."""
     try:
         bits = n.bit_length()  # a digit carries 3.32 bits
     except AttributeError:
-        return str(n)
+        return _quote(n, str)
     if bits < 3 * _UNCHECKED_DIGITS or bits <= 3 * (sys.get_int_max_str_digits() or bits):
         return int.__repr__(n)
     if n < 0:
@@ -95,7 +104,7 @@ def _check_index(name: str, k, first: float) -> int:
     try:
         return operator.index(k)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {k!r}") from None
+        raise DomainError(f"{name} must be an integer, got {_quote(k)}") from None
 
 
 def _check_rational(x) -> tuple[int, int]:
@@ -104,7 +113,7 @@ def _check_rational(x) -> tuple[int, int]:
     try:
         num, den = operator.index(x.numerator), operator.index(x.denominator)
     except (AttributeError, TypeError):
-        raise DomainError(f"x must be a rational, got {x!r}") from None
+        raise DomainError(f"x must be a rational, got {_quote(x)}") from None
     if den < 1:
         raise DomainError(f"denominator must be >= 1, got {_digits_of_int(den)}")
     if num < 0:
@@ -127,9 +136,9 @@ def make_rational(num: int, den: int) -> Rational:
 def to_string(x: Rational) -> str:
     """"p/q" in lowest terms, or plain "p" when the denominator is 1."""
     try:
-        num, den = x.numerator, x.denominator
-    except AttributeError:
-        raise DomainError(f"x must be a rational, got {x!r}") from None
+        num, den = operator.index(x.numerator), operator.index(x.denominator)
+    except (AttributeError, TypeError):
+        raise DomainError(f"x must be a rational, got {_quote(x)}") from None
     if den == 1:
         return _digits_of_int(num)
     return f"{_digits_of_int(num)}/{_digits_of_int(den)}"

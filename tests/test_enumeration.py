@@ -489,6 +489,9 @@ class TestNamedStreams:
         assert named_cf_stream("phi").take(5) == [1, 1, 1, 1, 1]
         assert named_cf_stream("metallic:3").take(4) == [3, 3, 3, 3]
         assert metallic(2).take(3) == [2, 2, 2]
+        one = metallic(True)  # True passes as the int 1, not as a closed form
+        assert type(one.entry(0)) is int and one.entry(0) == 1
+        assert one.take(3) == [1, 1, 1]
 
     def test_pi_table(self):
         assert len(PI_PARTIAL_QUOTIENTS) >= 40

@@ -358,12 +358,14 @@ except ImportError:  # the fuzz then draws no numpy ints
     numpy = None
 
 # positions, counts and depths: ints, ints past sys.maxsize, values that are
-# no ints, bools and numpy ints; an in-range pull from an endless source is
-# capped, since metallic(3).take(sys.maxsize) fills memory
+# no ints (some past the int/str limit, which no refusal may render), bools
+# and numpy ints; an in-range pull from an endless source is capped, since
+# metallic(3).take(sys.maxsize) fills memory
 PAST_MAXSIZE = st.integers(sys.maxsize + 1, 2**300)
+PAST_THE_LIMIT = Fraction(10**5000 + 1, 2)
 NOT_INTS = st.one_of(
     st.floats(allow_nan=True), st.fractions(), st.text(max_size=3), st.none(),
-    st.sampled_from([0.5, -0.5, 2.5, 3.0, Fraction(5, 2)]),
+    st.sampled_from([0.5, -0.5, 2.5, 3.0, Fraction(5, 2), PAST_THE_LIMIT, -PAST_THE_LIMIT]),
 )
 ANY_INT = st.integers() | st.integers(10**4, sys.maxsize) | PAST_MAXSIZE
 
