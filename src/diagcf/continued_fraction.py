@@ -80,8 +80,9 @@ class ContinuedFraction(tuple):
     def is_canonical(self) -> bool:
         return len(self) == 1 or self[-1] >= 2
 
-    def __repr__(self) -> str:
-        return f"ContinuedFraction({tuple(self)!r})"
+    def __repr__(self) -> str:  # repr(tuple(self)), where a term can pass the int/str limit
+        terms = ", ".join(map(_digits_of_int, self)) + "," * (len(self) == 1)
+        return f"ContinuedFraction(({terms}))"
 
     def __str__(self) -> str:
         head = _digits_of_int(self[0])
@@ -95,6 +96,13 @@ class Convergent(NamedTuple):
 
     index: int
     value: Rational
+
+    def __repr__(self) -> str:  # the NamedTuple's, where a value's parts can pass the limit
+        value = self.value
+        if type(value) is Fraction:
+            num, den = map(_digits_of_int, value.as_integer_ratio())
+            return f"Convergent(index={self.index!r}, value=Fraction({num}, {den}))"
+        return f"Convergent(index={self.index!r}, value={value!r})"
 
 
 CFLike = Union[ContinuedFraction, Iterable[int]]

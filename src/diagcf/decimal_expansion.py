@@ -40,11 +40,13 @@ __all__ = (
 # and `period_length` walks; 1/10000019, whose period has 10000018, fits
 MAX_DIGITS = 2 * 10**7
 
-# digits per division in `_long_divide`, which `expand` and `digits_of` rows share: exactly
-# the digits asked for, no per-block check. str() of a block is quadratic in its length, and
-# 256 measured faster than 64, 128 or 1024 on the period of 1/1000003
+# digits per division in `_long_divide`, which `expand` and `digits_of` rows share, and in
+# the verify walk's `_divide_to`: exactly the digits asked for, no per-block check. str() of
+# a block is quadratic in its length, and 256 measured faster than 64, 128 or 1024 on the
+# period of 1/1000003
 _BLOCK = 256
-_SCALE = 10**_BLOCK
+_POWERS = tuple(10**k for k in range(_BLOCK + 1))  # a read, where 10**k takes up to 0.4 us
+_SCALE = _POWERS[_BLOCK]
 
 
 def _long_divide(rem: int, den: int, n: int) -> tuple[str, int]:
@@ -52,9 +54,19 @@ def _long_divide(rem: int, den: int, n: int) -> tuple[str, int]:
     blocks = []
     for start in range(0, n, _BLOCK):
         k = min(_BLOCK, n - start)
-        block, rem = divmod(rem * (_SCALE if k == _BLOCK else 10**k), den)
+        block, rem = divmod(rem * _POWERS[k], den)
         blocks.append(str(block).zfill(k))
     return "".join(blocks), rem
+
+
+def _divide_to(rem: int, den: int, n: int) -> tuple[int, int]:
+    # digit n of rem/den and the remainder after it, by `_long_divide`'s blocks, rendering
+    # none: a whole block keeps only its remainder, and the last block's last digit is % 10
+    whole, last = divmod(n - 1, _BLOCK)
+    for _ in range(whole):
+        rem = rem * _SCALE % den
+    block, rem = divmod(rem * _POWERS[last + 1], den)
+    return block % 10, rem
 
 
 class DecimalExpansion(tuple):
@@ -83,7 +95,7 @@ class DecimalExpansion(tuple):
         return tuple(self)
 
     def __repr__(self) -> str:
-        return f"DecimalExpansion{tuple(self)!r}"
+        return f"DecimalExpansion({_digits_of_int(self[0])}, {self[1]!r}, {self[2]!r})"
 
     def __str__(self) -> str:
         return f"{_digits_of_int(self.integer_part)}.{self.preperiod}({self.period})"
@@ -219,7 +231,10 @@ def digit_at(x: Rational, j: int) -> int:
     floor(x * 10^j) mod 10 only needs 10^j modulo 10*den, so this is
     O(log j) however deep j goes.
     """
-    num, den = _check_rational(x)
+    if type(x) is Fraction:  # three per `convert` op: one read of both parts, no call
+        num, den = x.as_integer_ratio()
+    if type(x) is not Fraction or type(num) is not int or type(den) is not int or num < 0:
+        num, den = _check_rational(x)
     if type(j) is not int or j < 1:
         j = _check_index("digit position", j, 1)
     return (num * pow(10, j, 10 * den)) % (10 * den) // den

@@ -14,6 +14,7 @@ its own diagonal entry, as a checkable certificate.
 
 from __future__ import annotations
 
+from itertools import count, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .continued_fraction import ContinuedFraction, from_rational
@@ -171,16 +172,20 @@ def _check_shape(max_preperiod: int, max_period: int, depth: int) -> tuple[int, 
     return max_preperiod, max_period, depth
 
 
-def _diagonal(rows: Iterable, depth: int, kind: str, rule):
-    # a row with `entry` is read at position k directly, any other is walked to it
-    built: list[int] = []
-    witnesses: list[DiagonalWitness] = []
+def _diagonal(rows: Iterable, depth: int, kind: str) -> list[int]:
+    # x_kk for k = 1..depth: a row with `entry` is read at position k directly, any other
+    # is walked to it
+    diagonal = []
     for k, row in _rows(rows, depth, kind, 1):
         entry = getattr(row, "entry", None)
-        x_kk = entry(k) if entry is not None else row._skip(k + 1 - row.first_index)
-        built.append(rule(x_kk))
-        witnesses.append(DiagonalWitness(k, x_kk, built[-1]))
-    return tuple(built), tuple(witnesses)
+        diagonal.append(entry(k) if entry is not None else row._skip(k + 1 - row.first_index))
+    return diagonal
+
+
+def _witnesses(diagonal: list[int], built: tuple[int, ...]) -> tuple[DiagonalWitness, ...]:
+    # DiagonalWitness(k, diagonal[k-1], built[k-1]) for each k, made in C with no Python frame
+    # per witness: tuple.__new__ is what the class's own __new__ calls
+    return tuple(map(tuple.__new__, repeat(DiagonalWitness), zip(count(1), diagonal, built)))
 
 
 def decimal_diagonal(rows: Iterable, depth: int) -> DecimalDiagonalResult:
@@ -192,41 +197,49 @@ def decimal_diagonal(rows: Iterable, depth: int) -> DecimalDiagonalResult:
     up to it. Returns the digit prefix of the built number (integer part
     0) with per-position witnesses.
     """
-    digits, witnesses = _diagonal(rows, depth, "decimal", lambda d_kk: 5 if d_kk != 5 else 4)
-    return DecimalDiagonalResult(0, digits, witnesses)
+    diagonal = _diagonal(rows, depth, "decimal")
+    digits = tuple([4 if d_kk == 5 else 5 for d_kk in diagonal])
+    return DecimalDiagonalResult(0, digits, _witnesses(diagonal, digits))
 
 
 def cf_diagonal(rows: Iterable, depth: int) -> CFDiagonalResult:
     """Build a_00 = 0 and a_0k = a_kk + 1 for k = 1..depth, over exactly the
     first `depth` rows of any iterable, which may be infinite; they are
     pulled one at a time, and each is dropped once read."""
-    terms, witnesses = _diagonal(rows, depth, "cf", lambda a_kk: a_kk + 1)
-    return CFDiagonalResult((0,) + terms, witnesses)  # a_00 = 0: reproducible
+    diagonal = _diagonal(rows, depth, "cf")
+    terms = tuple([a_kk + 1 for a_kk in diagonal])
+    return CFDiagonalResult((0,) + terms, _witnesses(diagonal, terms))  # a_00 = 0: reproducible
 
 
 def verify_differs(constructed, rows: Iterable, depth: int) -> VerifyResult:
     """Re-check that a diagonal result differs from row k at position k.
 
-    The result's kind is the rows' kind, and its `entry(k)` is compared
-    with row k's entry k. Rows are pulled from any iterable one at a time,
-    each dropped once read: `depth` of them, or up to the first failing
-    position, which is the counterexample and ends the pull. They are
-    walked to entry k, never read through `entry`; pass fresh streams. A
-    package row hands out entry k alone, with no list, and any other row
-    walks one checked run. Over `digits_of` rows the walk long-divides
-    and renders all O(depth^2) digits, in O(depth + depth^2/256) block
-    divisions of up to 256 digits, independent of the construction's
-    `digit_at`. Over `metallic` and named rows it takes O(depth) Python
+    The result's kind is the rows' kind, and its entry k, read from its
+    `digits` or `terms`, is compared with row k's entry k. Rows are
+    pulled from any iterable one at a time, each dropped once read:
+    `depth` of them, or up to the first failing position, which is the
+    counterexample and ends the pull. They are walked to entry k, never
+    read through `entry`; pass fresh streams. A package row hands out
+    entry k alone, with no list, and any other row walks one checked
+    run. Over `digits_of` rows the walk long-divides
+    O(depth + depth^2/256) blocks of up to 256 digits and renders none:
+    each block keeps only its remainder, and the last one's last digit is
+    the entry. It never calls the construction's `digit_at` or a modular
+    power. Over `metallic` and named rows it takes O(depth) Python
     steps, but reads the same k or closed form as their `entry`: there
     the two checks are one route, independent in name only. Depth 0 is
     vacuously true.
     """
     if not isinstance(constructed, (DecimalDiagonalResult, CFDiagonalResult)):
         raise InputError(f"constructed is not a diagonal result: {type(constructed).__name__}")
+    # the result's entry k is prefix[k - first], as its `entry(k)` reads it
+    prefix, first = (
+        (constructed.digits, 1) if constructed.kind == "decimal" else (constructed.terms, 0)
+    )
     for k, row in _rows(rows, depth, constructed.kind, 0):
         row_entry = row._skip(k + 1 - row.first_index)
         try:
-            built = constructed.entry(k)
+            built = prefix[k - first]
         except IndexError:
             raise InputError(f"constructed prefix has no entry for position {k}") from None
         if built == row_entry:

@@ -12,7 +12,8 @@ small `Stream` subclasses, checked once when built, whose runs, walks
 and `entry(k)` hand out items with no second check, a walk only its
 last item; a stream over an outside iterable has no `entry`, is walked,
 and checks each run it pulls. A rational's k digits are long-divided
-exactly, in O(1 + k/256) steps, by the block loop `expand` uses; a
+exactly, in O(1 + k/256) steps, by the block loop `expand` uses, and a
+walk to its k-th digit divides the same blocks but renders none; a
 metallic row's walk and `entry` read k with no call, a named row's a(k).
 """
 
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .continued_fraction import _check_quotients
-from .decimal_expansion import _long_divide, digit_at
+from .decimal_expansion import _divide_to, _long_divide, digit_at
 from .errors import DomainError, InputError, RangeError
 from .exact_numbers import (
     Rational, _check_count, _check_index, _check_iterable, _check_rational, _check_text,
@@ -104,7 +105,12 @@ class Stream:
         return item
 
     def _skip(self, n: int):
-        # the last of the next n >= 1 items, walked by `take` as one checked run
+        """The last of the next n >= 1 items, walked by `take` as one checked run.
+
+        A run that fails its check leaves the position where it was. A run
+        cut short by the end of the items is not: the position moves to the
+        end of the short run, and then the walk raises InputError.
+        """
         run = self.take(n)
         if len(run) < n:
             needed = self.first_index + self.position - len(run) + n - 1
@@ -126,9 +132,11 @@ class _DigitRow(Stream):
     kind, first_index = "decimal", 1  # fixed, so no package row calls Stream.__init__
 
     def __init__(self, x: Rational):
-        if type(x) is not Fraction or x.numerator < 0:  # a row per rational: skip the call
-            _check_rational(x)  # for a Fraction >= 0, which passes; its parts are checked below
-        num, den = x.numerator, x.denominator
+        if type(x) is Fraction:  # a row per rational: one read of both parts, no check call
+            num, den = x.as_integer_ratio()
+        if type(x) is not Fraction or num < 0:  # a negative or a non-rational is refused
+            _check_rational(x)
+            num, den = x.numerator, x.denominator  # plain ints or not, checked below
         if type(num) is not int or type(den) is not int:  # numpy ints overflow
             raise DomainError(
                 f"x must be an int over an int, got {type(num).__name__}/{type(den).__name__}"
@@ -146,9 +154,9 @@ class _DigitRow(Stream):
         return list(digits.encode().translate(_DIGIT_VALUES))
 
     def _skip(self, n: int = 1) -> int:
-        digits, self._rem = _long_divide(self._rem, self._den, n)
+        digit, self._rem = _divide_to(self._rem, self._den, n)
         self.position += n
-        return int(digits[-1])
+        return digit
 
     __next__ = _skip  # next() walks one item; a package row never stops iteration
 
@@ -205,8 +213,9 @@ def digits_of(x: Rational) -> Stream:
     """The fractional decimal digits of x >= 0, an int over an int, without end.
 
     `take(k)` and a walk to the k-th next digit long-divide exactly k
-    digits, up to 256 per step; the walk hands out the last alone, with no
-    list. `entry(k)` is `digit_at`, independent of both.
+    digits, up to 256 per step; the walk keeps only the remainders and the
+    last digit, renders no digit to text and makes no list. `entry(k)` is
+    `digit_at`, independent of both.
     """
     return _DigitRow(x)
 

@@ -26,6 +26,7 @@ from diagcf import (
     reconstruct,
 )
 from diagcf._factoring import is_strong_lucas_probable_prime, prime_factors
+from diagcf.decimal_expansion import _divide_to, _long_divide
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -451,6 +452,32 @@ class TestPrimeFactors:
         )
 
 
+BLOCK_EDGES = (1, 255, 256, 257, 511, 512, 513)
+remainders = st.integers(1, 2**200).flatmap(
+    lambda den: st.tuples(st.integers(0, den - 1), st.just(den))
+)
+
+
+class TestDivideTo:
+    """The verify walk's `_divide_to` divides `_long_divide`'s blocks and renders none:
+    its digit is the last `_long_divide` renders, with the same remainder after it."""
+
+    @staticmethod
+    def check(rem, den, n):
+        digits, left = _long_divide(rem, den, n)
+        assert _divide_to(rem, den, n) == (int(digits[-1]), left)
+
+    @settings(deadline=None)
+    @given(remainders, st.sampled_from(BLOCK_EDGES) | st.integers(1, 2000))
+    def test_last_digit_of_long_division(self, rem_den, n):
+        self.check(*rem_den, n)
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES + (2000,))
+    @given(remainders)
+    def test_at_the_block_edges(self, n, rem_den):
+        self.check(*rem_den, n)
+
+
 class TestDigitAt:
     def test_examples(self):
         # 169/550 = 0.30(72): 3, 0, 7, 2, 7, ...
@@ -478,6 +505,16 @@ class TestDigitAt:
             digit_at(Fraction(1, 3), 0)
         with pytest.raises(DomainError):
             digit_at(Fraction(-1, 3), 1)
+
+    def test_numpy_parts_take_the_checked_route(self):
+        # a Fraction keeps numpy parts: they are read through the rational check, as plain ints
+        numpy = pytest.importorskip("numpy")
+        assert digit_at(Fraction(numpy.int64(6), 7), 7) == 8
+        assert type(digit_at(Fraction(numpy.int64(6), numpy.int64(7)), 7)) is int
+        with pytest.raises(DomainError, match="^negative input$"):
+            digit_at(Fraction(numpy.int64(-6), 7), 7)
+        with pytest.raises(DomainError, match="^negative input$"):
+            digit_at(Fraction(-6, 7), 7)
 
 
 class TestReconstruct:

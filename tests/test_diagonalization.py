@@ -1,11 +1,14 @@
+import copy
 import itertools
+import pickle
+import sys
 import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagcf import enumeration
+from diagcf import decimal_expansion, enumeration
 from diagcf import (
     CFDiagonalFailure,
     CFDiagonalResult,
@@ -338,15 +341,48 @@ class TestVerifyWork:
     def test_digit_rows_divide_exactly_the_digits_walked(self, monkeypatch):
         values = calkin_wilf().take(self.DEPTH)
         built = decimal_diagonal([digits_of(v) for v in values], self.DEPTH)
-        asked, long_divide = [], enumeration._long_divide
+        asked, divide_to = [], enumeration._divide_to
 
         def spy(rem, den, n):
             asked.append(n)
-            return long_divide(rem, den, n)
+            return divide_to(rem, den, n)
 
-        monkeypatch.setattr(enumeration, "_long_divide", spy)
+        monkeypatch.setattr(enumeration, "_divide_to", spy)
         assert verify_differs(built, [digits_of(v) for v in values], self.DEPTH) == (True, None)
         assert asked == list(range(1, self.DEPTH + 1))  # d calls, d(d+1)/2 digits
+
+    def test_digit_walk_renders_nothing_and_takes_no_modular_power(self, monkeypatch):
+        # every Python and C call beneath verify_differs, recorded under sys.setprofile: the
+        # walk divides by `_divide_to` alone, never through the construction's digit_at, a
+        # pow of any arity, or `_long_divide`, whose blocks are rendered by str and zfill
+        values = calkin_wilf().take(self.DEPTH)
+        built = decimal_diagonal([digits_of(v) for v in values], self.DEPTH)
+        rows = [digits_of(v) for v in values]
+        called = set()
+
+        def refuse(*args):
+            raise AssertionError("the verify walk rendered a digit")
+
+        for module in (decimal_expansion, enumeration):  # str is a type: no C-call event
+            monkeypatch.setattr(module, "str", refuse, raising=False)
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code)
+            elif event == "c_call":
+                called.add(arg)
+
+        sys.setprofile(profile)
+        try:
+            result = verify_differs(built, rows, self.DEPTH)
+        finally:
+            sys.setprofile(None)
+        assert result == (True, None)
+        assert enumeration._divide_to.__code__ in called
+        assert digit_at.__code__ not in called and pow not in called
+        assert enumeration._long_divide.__code__ not in called
+        names = {getattr(c, "co_name", None) or getattr(c, "__name__", "") for c in called}
+        assert not {"zfill", "join", "format"} & names
 
     def test_quotient_rows_never_pull_a_run(self, monkeypatch):
         def e_rows():
@@ -378,6 +414,47 @@ def test_decimal_diagonal_reads_each_row_once_at_its_position(monkeypatch):
     monkeypatch.setattr(enumeration, "digit_at", spy)
     decimal_diagonal([digits_of(v) for v in values], depth)
     assert asked == list(zip(values, range(1, depth + 1)))
+
+
+class TestWitnessRecords:
+    """Witnesses are made without their class's __new__; they are the same records."""
+
+    DEPTH = 300
+
+    def test_witnesses_equal_the_plain_records(self):
+        values = calkin_wilf().take(self.DEPTH)
+        decimal = decimal_diagonal([digits_of(v) for v in values], self.DEPTH)
+        cf = cf_diagonal(irrational_enumeration(self.DEPTH), self.DEPTH)
+        diagonal = [digit_at(v, k) for k, v in enumerate(values, 1)]
+        assert decimal.witnesses == tuple(
+            DiagonalWitness(k, d, 4 if d == 5 else 5) for k, d in enumerate(diagonal, 1)
+        )
+        assert cf.witnesses == tuple(DiagonalWitness(k, k, k + 1) for k in range(1, self.DEPTH + 1))
+        for w in decimal.witnesses + cf.witnesses:
+            assert type(w) is DiagonalWitness
+            assert w._fields == ("position", "enumerated", "constructed")
+            for twin in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w)):
+                assert type(twin) is DiagonalWitness and twin == w
+        assert repr(decimal.witnesses[0]) == (
+            "DiagonalWitness(position=1, enumerated=0, constructed=5)"
+        )
+        assert repr(cf.witnesses[1]) == "DiagonalWitness(position=2, enumerated=2, constructed=3)"
+
+    def test_bool_rows_keep_true_as_the_diagonal_entry(self):
+        for result, built in (
+            (decimal_diagonal([[True]], 1), 5), (cf_diagonal([[0, True]], 1), 2),
+        ):
+            (w,) = result.witnesses
+            assert w.enumerated is True and (w.position, w.constructed) == (1, built)
+
+    @pytest.mark.parametrize("kind", ["decimal", "cf"])
+    def test_verify_refuses_a_prefix_shorter_than_depth(self, kind):
+        if kind == "decimal":
+            built, rows = decimal_diagonal(cw_digit_rows(5), 5), cw_digit_rows(8)
+        else:
+            built, rows = cf_diagonal(irrational_enumeration(5), 5), irrational_enumeration(8)
+        with pytest.raises(InputError, match="^constructed prefix has no entry for position 6$"):
+            verify_differs(built, rows, 8)
 
 
 def long_division_row(x):

@@ -345,6 +345,7 @@ class TestSkip:
         short = Stream(iter([1, 2]), "cf")
         with pytest.raises(InputError, match="^row exhausted after 2 entries; position 3 needed$"):
             short._skip(4)
+        assert short.position == 2  # past the end, the walk moved to the end of the short run
 
 
 class TestPackageRowContract:
@@ -400,6 +401,8 @@ class TestPackageRowContract:
                 read(digits_of(x))
         with pytest.raises(DomainError, match=message):
             decimal_diagonal(map(digits_of, [x]), 1)
+        with pytest.raises(DomainError, match="^negative input$"):  # the sign is checked first
+            digits_of(Fraction(-p, q))
 
     def test_bool_and_int_values(self):
         assert digits_of(True).take(3) == [0, 0, 0] and digits_of(True).entry(5) == 0

@@ -99,6 +99,46 @@ def test_records_unpack_and_compare_as_tuples():
 
 
 @pytest.mark.parametrize(
+    "record",
+    [
+        expand(Fraction(1, 6)), expand(Fraction(10**40, 7)), DecimalExpansion(True, "", "3"),
+        from_rational(Fraction(3)), from_rational(Fraction(355, 113)),
+        *convergents([0, 1, 2, 10**30], 4),
+    ],
+    ids=repr,
+)
+def test_reprs_keep_their_tuple_form(record):
+    # the forms the plain tuple and NamedTuple reprs gave, kept byte for byte
+    if isinstance(record, DecimalExpansion):
+        assert repr(record) == f"DecimalExpansion{tuple(record)!r}"
+    elif isinstance(record, ContinuedFraction):
+        assert repr(record) == f"ContinuedFraction({tuple(record)!r})"
+    else:
+        assert repr(record) == "Convergent(index=%r, value=%r)" % record
+
+
+BIG = 10**5000  # past CPython's int/str limit of 4300 digits
+BIG_DIGITS = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "record, text",
+    [
+        (DecimalExpansion(BIG, "", "3"), f"DecimalExpansion({BIG_DIGITS}, '', '3')"),
+        (from_rational(Fraction(BIG)), f"ContinuedFraction(({BIG_DIGITS},))"),
+        (from_rational(Fraction(1, BIG)), f"ContinuedFraction((0, {BIG_DIGITS}))"),
+        (convergents([BIG], 1)[0], f"Convergent(index=0, value=Fraction({BIG_DIGITS}, 1))"),
+        (convergents([0, BIG], 2)[1], f"Convergent(index=1, value=Fraction(1, {BIG_DIGITS}))"),
+    ],
+    ids=["DecimalExpansion", "ContinuedFraction", "ContinuedFraction-two-terms",
+         "Convergent", "Convergent-denominator"],
+)
+def test_reprs_past_the_int_str_limit(record, text):
+    # each raised ValueError: Exceeds the limit (4300 digits) for integer string conversion
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize(
     "cls, public",
     [
         (ContinuedFraction, {"terms", "is_canonical"}),
