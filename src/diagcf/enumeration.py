@@ -134,7 +134,7 @@ class _DigitRow(Stream):
     def __init__(self, x: Rational):
         if type(x) is Fraction:  # a row per rational: one read of both parts, no check call
             num, den = x.as_integer_ratio()
-        if type(x) is not Fraction or num < 0:  # a negative or a non-rational is refused
+        if type(x) is not Fraction or num < 0:  # the check refuses a negative or a non-rational
             _check_rational(x)
             num, den = x.numerator, x.denominator  # plain ints or not, checked below
         if type(num) is not int or type(den) is not int:  # numpy ints overflow
