@@ -35,7 +35,7 @@ from .diagonalization import (
 )
 from .enumeration import calkin_wilf, digits_of, metallic, named_cf_stream
 from .errors import DomainError, InputError, RangeError
-from .exact_numbers import _int_from_digits, parse_rational, to_string
+from .exact_numbers import _digits_of_int, _int_from_digits, parse_rational, to_string
 
 DEFAULT_DEPTH = 20
 DEFAULT_EPS = 1e-9
@@ -228,10 +228,10 @@ def _decimal_expand(args) -> list[str]:
 
 
 def _decimal_period(args) -> list[str]:
-    report = _period_report(parse_rational(args.value))
-    if report.terminating:
-        return [f"terminating (preperiod {report.preperiod_length}, period 0)"]
-    return [f"period length {report.period_length} (preperiod {report.preperiod_length})"]
+    lam, mu, terminating = _period_report(parse_rational(args.value))
+    if terminating:
+        return [f"terminating (preperiod {mu}, period 0)"]
+    return [f"period length {_digits_of_int(lam)} (preperiod {mu})"]  # lam can pass the limit
 
 
 def _decimal_find_period(args) -> list[str]:

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 from .errors import DomainError, RangeError
 from .exact_numbers import (
     Rational, _check_count, _check_rational, _check_text, _digits_of_int, _int_from_digits,
-    _is_digits, _quote,
+    _is_digits, _quote, _repr,
 )
 
 __all__ = (
@@ -63,6 +63,7 @@ class ContinuedFraction(tuple):
     """[a0; a1, ..., an] with a0 >= 0 and ai >= 1 for i >= 1: the tuple of its terms."""
 
     __slots__ = ()
+    __repr__ = _repr
 
     def __new__(cls, terms: Iterable[int]) -> ContinuedFraction:
         if type(terms) is cls:  # already checked
@@ -80,10 +81,6 @@ class ContinuedFraction(tuple):
     def is_canonical(self) -> bool:
         return len(self) == 1 or self[-1] >= 2
 
-    def __repr__(self) -> str:  # repr(tuple(self)), where a term can pass the int/str limit
-        terms = ", ".join(map(_digits_of_int, self)) + "," * (len(self) == 1)
-        return f"ContinuedFraction(({terms}))"
-
     def __str__(self) -> str:
         head = _digits_of_int(self[0])
         if len(self) == 1:
@@ -97,12 +94,7 @@ class Convergent(NamedTuple):
     index: int
     value: Rational
 
-    def __repr__(self) -> str:  # the NamedTuple's, where a value's parts can pass the limit
-        value = self.value
-        if type(value) is Fraction:
-            num, den = map(_digits_of_int, value.as_integer_ratio())
-            return f"Convergent(index={self.index!r}, value=Fraction({num}, {den}))"
-        return f"Convergent(index={self.index!r}, value={value!r})"
+    __repr__ = _repr
 
 
 CFLike = Union[ContinuedFraction, Iterable[int]]
@@ -217,6 +209,8 @@ class ApproximationComparison(NamedTuple):
     cf_error: Rational
     decimal_error: Rational
     closer: str  # "cf", "decimal" or "tie"
+
+    __repr__ = _repr
 
 
 def approximation_compare(

@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .errors import DomainError, RangeError
 from .exact_numbers import (
     Rational, _check_index, _check_rational, _check_text, _digits_of_int, _int_from_digits,
-    _is_digits, _quote, to_string,
+    _is_digits, _quote, _repr, to_string,
 )
 
 __all__ = (
@@ -94,8 +94,7 @@ class DecimalExpansion(tuple):
     def __getnewargs__(self) -> tuple[int, str, str]:
         return tuple(self)
 
-    def __repr__(self) -> str:
-        return f"DecimalExpansion({_digits_of_int(self[0])}, {self[1]!r}, {self[2]!r})"
+    __repr__ = _repr
 
     def __str__(self) -> str:
         return f"{_digits_of_int(self.integer_part)}.{self.preperiod}({self.period})"
@@ -107,6 +106,8 @@ class PeriodReport(NamedTuple):
     period_length: int
     preperiod_length: int
     terminating: bool
+
+    __repr__ = _repr
 
 
 def expand(x: Rational) -> DecimalExpansion:

@@ -21,7 +21,7 @@ from .continued_fraction import ContinuedFraction, from_rational
 from .enumeration import Stream, digits_of
 from .errors import DomainError, InputError, RangeError
 from .exact_numbers import (
-    Rational, _check_count, _check_index, _check_iterable, _digits_of_int, _quote,
+    Rational, _check_count, _check_index, _check_iterable, _digits_of_int, _quote, _repr,
 )
 
 __all__ = (
@@ -40,6 +40,8 @@ class DiagonalWitness(NamedTuple):
     enumerated: int  # d_kk or a_kk
     constructed: int  # d_0k or a_0k
 
+    __repr__ = _repr
+
 
 class DecimalDiagonalResult(NamedTuple):
     """Digit prefix of the built number plus one witness per position."""
@@ -48,6 +50,7 @@ class DecimalDiagonalResult(NamedTuple):
     digits: tuple[int, ...]
     witnesses: tuple[DiagonalWitness, ...]
 
+    __repr__ = _repr
     kind = "decimal"
     labels = ("d_kk", "d_0k")
 
@@ -66,6 +69,7 @@ class CFDiagonalResult(NamedTuple):
     terms: tuple[int, ...]
     witnesses: tuple[DiagonalWitness, ...]
 
+    __repr__ = _repr
     kind = "cf"
     labels = ("a_kk", "a_0k")
 
@@ -85,6 +89,8 @@ class VerifyResult(NamedTuple):
     ok: bool
     counterexample: int | None
 
+    __repr__ = _repr
+
 
 class CFDiagonalFailure(NamedTuple):
     """Certificate that row k has no k-th partial quotient."""
@@ -92,6 +98,8 @@ class CFDiagonalFailure(NamedTuple):
     failing_index: int
     rational: Rational
     cf: ContinuedFraction
+
+    __repr__ = _repr
 
     @property
     def quotients_beyond_first(self) -> int:
@@ -119,6 +127,8 @@ class PeriodRuling(NamedTuple):
     consistent: bool
     witness_position: int | None
 
+    __repr__ = _repr
+
 
 class RationalDiagonalReport(NamedTuple):
     """Diagonal digits over an enumeration of rationals, plus the shapes
@@ -129,6 +139,8 @@ class RationalDiagonalReport(NamedTuple):
     max_period: int
     diagonal: DecimalDiagonalResult
     rulings: tuple[PeriodRuling, ...]
+
+    __repr__ = _repr
 
     @property
     def ruled_out(self) -> tuple[PeriodRuling, ...]:

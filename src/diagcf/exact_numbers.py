@@ -72,6 +72,23 @@ def _digits_of_int(n: int) -> str:
     return _digits_of_int(high) + _digits_of_int(rest).zfill(low)
 
 
+def _repr(x) -> str:
+    """repr(x) with each int printed by `_digits_of_int`; every record's __repr__, the call
+    Name(*x.__getnewargs__()) that pickle rebuilds it with, by keyword where it has `_fields`."""
+    if type(x) is int:
+        return _digits_of_int(x)
+    if type(x) is Fraction:
+        return f"Fraction({_digits_of_int(x.numerator)}, {_digits_of_int(x.denominator)})"
+    if type(x) is tuple:
+        return f"({', '.join(map(_repr, x))}{',' * (len(x) == 1)})"
+    if not isinstance(x, tuple):
+        return repr(x)
+    args = map(_repr, x.__getnewargs__())
+    if hasattr(x, "_fields"):
+        args = map("{}={}".format, x._fields, args)
+    return f"{type(x).__name__}({', '.join(args)})"
+
+
 def _check_count(name: str, n: int) -> int:
     # n as an int of any sign (a numpy int would overflow in arithmetic); islice refuses a
     # stop past sys.maxsize, and no list holds that many

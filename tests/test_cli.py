@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagcf import RangeError
+from diagcf import PeriodReport, RangeError
 from diagcf.cli import MAX_EXPONENT, run
 from diagcf.decimal_expansion import MAX_DIGITS
+from diagcf.exact_numbers import _digits_of_int
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -119,6 +120,22 @@ class TestDecimal:
         monkeypatch.setattr(decimal_expansion, "period_length_by_order", refuse)
         code, out, _ = invoke(capsys, "decimal", "period", "169/550")
         assert (code, out) == (0, "period length 2 (preperiod 2)\n")
+
+    def test_period_length_past_the_int_str_limit(self, capsys, monkeypatch):
+        # 1/3^9100 has period 3^9098, of 4342 digits; its report costs seconds of modular
+        # powers, so a stand-in gives one of 5001 digits. The length ended in a ValueError
+        import diagcf.cli as cli
+
+        asked = []
+
+        def report(x):
+            asked.append(x)
+            return PeriodReport(10**5000, 3, False)
+
+        monkeypatch.setattr(cli, "_period_report", report)
+        code, out, err = invoke(capsys, "decimal", "period", "1/" + _digits_of_int(3**9100))
+        assert (code, out, err) == (0, f"period length 1{'0' * 5000} (preperiod 3)\n", "")
+        assert asked == [Fraction(1, 3**9100)]
 
     def test_find_period(self, capsys):
         code, out, _ = invoke(capsys, "decimal", "find-period", "6")

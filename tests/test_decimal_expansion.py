@@ -11,12 +11,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import diagcf.decimal_expansion
+import diagcf.enumeration
 from diagcf import (
     DecimalExpansion,
     DomainError,
     PeriodReport,
     RangeError,
     digit_at,
+    digits_of,
     expand,
     find_period_at_least,
     multiplicative_order,
@@ -242,6 +244,25 @@ class TestPeriodLength:
         # walker ahead, and two per preperiod digit while the walkers meet
         steps = report.period_length + 2 * report.preperiod_length + 3
         assert self.count_steps(monkeypatch, x) == (report, steps)
+
+    @pytest.mark.parametrize("x", [Fraction(1, 101 * 103), Fraction(3, 2**5 * 1009 * 1013)])
+    def test_expand_where_rho_gives_up_takes_one_walk(self, monkeypatch, x):
+        # both denominators have no prime below 53, so the order route needs rho; with no
+        # rho step allowed, expand takes its lengths from one walk of lambda + 2 mu + 3 steps
+        report, expansion = period_length_by_order(x), expand(x)
+        walks = []
+
+        def counted_walk(value):
+            with pytest.MonkeyPatch.context() as patch:  # the count covers the walk alone
+                walks.append(self.count_steps(patch, value))
+            return walks[-1][0]
+
+        monkeypatch.setattr(diagcf._factoring, "MAX_RHO_STEPS", 0)
+        monkeypatch.setattr(diagcf.decimal_expansion, "period_length", counted_walk)
+        with pytest.raises(RangeError, match="rho steps$"):
+            period_length_by_order(x)
+        assert expand(x) == expansion
+        assert walks == [(report, report.period_length + 2 * report.preperiod_length + 3)]
 
 
 class TestDigitLimit:
@@ -476,6 +497,60 @@ class TestDivideTo:
     @given(remainders)
     def test_at_the_block_edges(self, n, rem_den):
         self.check(*rem_den, n)
+
+
+class CountingDen(int):
+    """A denominator that counts the whole-block steps (`% den`) and the block divisions
+    (`divmod(_, den)`) made with it; the results stay plain ints."""
+
+    mods = divmods = 0
+
+    def __rmod__(self, other):
+        self.mods += 1
+        return int.__rmod__(self, other)
+
+    def __rdivmod__(self, other):
+        self.divmods += 1
+        return int.__rdivmod__(self, other)
+
+
+class TestBlockCounts:
+    """Digits come in blocks of 256: k digits take ceil(k / 256) divisions in one call."""
+
+    @staticmethod
+    def spy(monkeypatch, module):
+        # each `_long_divide` call that module makes, as (digits asked for, its denominator)
+        calls = []
+
+        def counted(rem, den, n):
+            calls.append((n, CountingDen(den)))
+            return _long_divide(rem, calls[-1][1], n)
+
+        monkeypatch.setattr(module, "_long_divide", counted)
+        return calls
+
+    @pytest.mark.parametrize("k", (0,) + BLOCK_EDGES + (5000,))
+    def test_take(self, monkeypatch, k):
+        calls = self.spy(monkeypatch, diagcf.enumeration)
+        assert digits_of(Fraction(1, 7)).take(k) == ([1, 4, 2, 8, 5, 7] * k)[:k]
+        assert [(n, den.divmods, den.mods) for n, den in calls] == [(k, -(-k // 256), 0)]
+
+    @pytest.mark.parametrize("x", [
+        Fraction(1, 7), Fraction(22, 7), Fraction(1, 2**300 * 7), Fraction(1, 10007), Fraction(5),
+    ])
+    def test_expand(self, monkeypatch, x):
+        lam, mu, _ = period_length_by_order(x)
+        calls = self.spy(monkeypatch, diagcf.decimal_expansion)
+        e = expand(x)
+        k = len(e.preperiod + e.period)
+        assert k == mu + lam
+        assert [(n, den.divmods, den.mods) for n, den in calls] == [(k, -(-k // 256), 0)]
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES + (2000,))
+    def test_divide_to(self, n):
+        den = CountingDen(10**40 + 7)
+        assert _divide_to(1, den, n) == _divide_to(1, 10**40 + 7, n)
+        assert (den.mods, den.divmods) == ((n - 1) // 256, 1)
 
 
 class TestDigitAt:

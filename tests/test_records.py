@@ -2,6 +2,7 @@
 checked values (`ContinuedFraction`, `DecimalExpansion`) have no way in
 that skips their checks."""
 
+import collections
 import copy
 import pickle
 import subprocess
@@ -14,9 +15,11 @@ import pytest
 import diagcf
 from diagcf import (
     ContinuedFraction,
+    Convergent,
     DecimalExpansion,
     DiagonalWitness,
     DomainError,
+    PeriodReport,
     approximation_compare,
     calkin_wilf,
     cf_diagonal,
@@ -32,6 +35,7 @@ from diagcf import (
     rule_out_periods,
     verify_differs,
 )
+from diagcf.exact_numbers import _repr
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = ("continued_fraction", "decimal_expansion", "diagonalization",
@@ -63,6 +67,26 @@ def fields(record):
     if isinstance(record, DecimalExpansion):
         return ("integer_part", "preperiod", "period")
     return record._fields
+
+
+class Shown(str):
+    """A text whose repr is the text itself."""
+
+    __repr__ = str.__str__
+
+
+def plain(value):
+    # value with each record remade as a collections.namedtuple of the same name and fields,
+    # and each checked value as the text of its tuple form: what Python's own reprs print
+    if isinstance(value, ContinuedFraction):
+        return Shown(f"ContinuedFraction({tuple(value)!r})")
+    if isinstance(value, DecimalExpansion):
+        return Shown(f"DecimalExpansion{tuple(value)!r}")
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return collections.namedtuple(type(value).__name__, value._fields)(*map(plain, value))
+    if type(value) is tuple:
+        return tuple(map(plain, value))
+    return value
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
@@ -117,6 +141,23 @@ def test_reprs_keep_their_tuple_form(record):
         assert repr(record) == "Convergent(index=%r, value=%r)" % record
 
 
+@pytest.mark.parametrize("record", one_of_each_record(), ids=lambda r: type(r).__name__)
+def test_reprs_keep_the_bytes_of_pythons_own(record):
+    # the namedtuple repr of the same fields, nested records too, or the tuple form
+    assert repr(record) == repr(plain(record))
+
+
+def test_every_exported_record_prints_by_the_one_rule():
+    # a record added to the package is held to the rule from the day it is exported
+    records = [
+        getattr(diagcf, name) for name in diagcf.__all__
+        if isinstance(getattr(diagcf, name), type) and issubclass(getattr(diagcf, name), tuple)
+    ]
+    assert records
+    assert [cls for cls in records if cls.__repr__ is not _repr] == []
+    assert {type(record) for record in one_of_each_record()} <= set(records)
+
+
 BIG = 10**5000  # past CPython's int/str limit of 4300 digits
 BIG_DIGITS = "1" + "0" * 5000
 
@@ -129,13 +170,32 @@ BIG_DIGITS = "1" + "0" * 5000
         (from_rational(Fraction(1, BIG)), f"ContinuedFraction((0, {BIG_DIGITS}))"),
         (convergents([BIG], 1)[0], f"Convergent(index=0, value=Fraction({BIG_DIGITS}, 1))"),
         (convergents([0, BIG], 2)[1], f"Convergent(index=1, value=Fraction(1, {BIG_DIGITS}))"),
+        (Convergent(0, BIG), f"Convergent(index=0, value={BIG_DIGITS})"),
+        (PeriodReport(BIG, 0, False),
+         f"PeriodReport(period_length={BIG_DIGITS}, preperiod_length=0, terminating=False)"),
+        (cf_diagonal([[0, BIG]], 1),
+         f"CFDiagonalResult(terms=(0, {BIG_DIGITS[:-1]}1), witnesses=(DiagonalWitness("
+         f"position=1, enumerated={BIG_DIGITS}, constructed={BIG_DIGITS[:-1]}1),))"),
+        (cf_diagonal([[0, BIG]], 1).witnesses[0],
+         f"DiagonalWitness(position=1, enumerated={BIG_DIGITS}, constructed={BIG_DIGITS[:-1]}1)"),
+        (cf_diagonal_over_rationals([Fraction(BIG)]),
+         f"CFDiagonalFailure(failing_index=1, rational=Fraction({BIG_DIGITS}, 1), "
+         f"cf=ContinuedFraction(({BIG_DIGITS},)))"),
+        (approximation_compare(Fraction(1, 3), Fraction(BIG), Fraction(1, 4)),
+         f"ApproximationComparison(cf_error=Fraction(2{'9' * 5000}, 3), "
+         "decimal_error=Fraction(1, 12), closer='decimal')"),
     ],
     ids=["DecimalExpansion", "ContinuedFraction", "ContinuedFraction-two-terms",
-         "Convergent", "Convergent-denominator"],
+         "Convergent", "Convergent-denominator", "Convergent-over-an-int", "PeriodReport",
+         "CFDiagonalResult", "DiagonalWitness", "CFDiagonalFailure", "ApproximationComparison"],
 )
 def test_reprs_past_the_int_str_limit(record, text):
     # each raised ValueError: Exceeds the limit (4300 digits) for integer string conversion
     assert repr(record) == text
+    if type(record).__str__ is object.__str__:
+        assert str(record) == text
+    else:  # its own form, with the same digits
+        assert BIG_DIGITS[:-1] in str(record)
 
 
 @pytest.mark.parametrize(
