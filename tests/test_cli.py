@@ -122,7 +122,7 @@ class TestDecimal:
         assert (code, out) == (0, "period length 2 (preperiod 2)\n")
 
     def test_period_length_past_the_int_str_limit(self, capsys, monkeypatch):
-        # 1/3^9100 has period 3^9098, of 4342 digits; its report costs seconds of modular
+        # 1/3^9100 has period 3^9098, of 4341 digits; its report costs seconds of modular
         # powers, so a stand-in gives one of 5001 digits. The length ended in a ValueError
         import diagcf.cli as cli
 

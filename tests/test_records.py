@@ -149,10 +149,8 @@ def test_reprs_keep_the_bytes_of_pythons_own(record):
 
 def test_every_exported_record_prints_by_the_one_rule():
     # a record added to the package is held to the rule from the day it is exported
-    records = [
-        getattr(diagcf, name) for name in diagcf.__all__
-        if isinstance(getattr(diagcf, name), type) and issubclass(getattr(diagcf, name), tuple)
-    ]
+    exported = [getattr(diagcf, name) for name in diagcf.__all__]
+    records = [cls for cls in exported if isinstance(cls, type) and issubclass(cls, tuple)]
     assert records
     assert [cls for cls in records if cls.__repr__ is not _repr] == []
     assert {type(record) for record in one_of_each_record()} <= set(records)
