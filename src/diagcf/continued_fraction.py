@@ -21,8 +21,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import DomainError, RangeError
 from .exact_numbers import (
-    Rational, _check_count, _check_rational, _check_text, _digits_of_int, _int_from_digits,
-    _is_digits, _quote, _repr,
+    Rational, _check_count, _check_rational, _check_text, _coprime, _digits_of_int,
+    _int_from_digits, _is_digits, _quote, _repr,
 )
 
 __all__ = (
@@ -120,13 +120,18 @@ def from_rational(x: Rational) -> ContinuedFraction:
 
 
 def to_rational(cf: CFLike) -> Rational:
-    """Exact value, folding back to front: rest -> a + 1/rest."""
+    """Exact value, folding back to front: rest -> a + 1/rest.
+
+    The fold multiplies the suffix's (num, den) by the unimodular matrix
+    [[a, 1], [1, 0]], which keeps gcd(num, den) = 1 from the first pair
+    (a_n, 1) on, so the value is built in lowest terms with no gcd.
+    """
     terms = ContinuedFraction(cf)
     # the (num, den) pair is the exact rational value of the suffix
     num, den = terms[-1], 1
     for a in reversed(terms[:-1]):
         num, den = a * num + den, num
-    return Fraction(num, den)
+    return _coprime(num, den)
 
 
 def canonicalize(terms: CFLike) -> ContinuedFraction:
@@ -151,16 +156,24 @@ def convergents(source, count: int) -> list[Convergent]:
     """First `count` truncation values h_k/k_k of a CF or quotient stream.
 
     Uses the standard recurrence h_k = a_k*h_{k-1} + h_{k-2} (same for
-    k_k); consecutive values are automatically coprime.
+    k_k). Each value is built without gcd, by the determinant identity
+    h_k*k_{k-1} - h_{k-1}*k_k = (-1)^(k-1) (Hardy and Wright, Thm 150),
+    which puts h_k/k_k in lowest terms. A `ContinuedFraction` source is
+    already checked, so its terms are read as they are.
     """
     count = _check_count("count", count)
     if count < 1:
         raise RangeError("count must be >= 1")
     # only the first `count` quotients are pulled, and they pass the quotient rule
-    quotients = _quotients(source, count)
+    if type(source) is ContinuedFraction:  # already checked, as in ContinuedFraction()
+        quotients = source[:count]
+    else:
+        quotients = _quotients(source, count)
     if len(quotients) < count:
         raise RangeError(f"count {count} exceeds the {len(quotients)} available terms")
-    return [Convergent(i, Fraction(h, k)) for i, (_, h, k) in enumerate(_convergents(quotients))]
+    values = [_coprime(h, k) for _, h, k in _convergents(quotients)]
+    # Convergent(i, value) made in C: tuple.__new__ is what the class's own __new__ calls
+    return list(map(tuple.__new__, itertools.repeat(Convergent), zip(itertools.count(), values)))
 
 
 def _exact(value, name: str) -> tuple[int, int]:

@@ -28,7 +28,7 @@ from .decimal_expansion import _divide_to, _long_divide, digit_at
 from .errors import DomainError, InputError, RangeError
 from .exact_numbers import (
     Rational, _check_count, _check_index, _check_iterable, _check_rational, _check_text,
-    _digits_of_int, _int_from_digits, _is_digits, _quote,
+    _coprime, _digits_of_int, _int_from_digits, _is_digits, _quote,
 )
 
 __all__ = (
@@ -194,17 +194,17 @@ class _QuotientRow(Stream):
 def calkin_wilf() -> Stream:
     """1/1, 1/2, 2/1, 1/3, 3/2, ...: every positive rational exactly once.
 
-    The successor of p/q is q/(2*floor(p/q)*q + q - p); successive values
-    come out already reduced, a property of the sequence rather than of
-    the construction here.
+    The successor of p/q is q/(2*floor(p/q)*q + q - p). Each value is
+    built from its two ints with no gcd: the successor of a reduced p/q
+    is reduced (Calkin and Wilf, Amer. Math. Monthly 107, 2000), and the
+    construction relies on that.
     """
 
     def gen() -> Iterator[Fraction]:
-        x = Fraction(1, 1)
+        p, q = 1, 1
         while True:
-            yield x
-            p, q = x.numerator, x.denominator
-            x = Fraction(q, 2 * (p // q) * q + q - p)
+            yield _coprime(p, q)
+            p, q = q, 2 * (p // q) * q + q - p
 
     return Stream(gen(), "rational")
 

@@ -5,6 +5,13 @@ It already keeps exactly the representation the rest of the package
 relies on: always reduced, denominator >= 1, sign carried by the
 numerator, zero stored as 0/1. The helpers here add the domain errors
 and the textual form used by the CLI.
+
+`_coprime` makes a `Fraction` from parts already in that form, with no
+gcd and no pass through `Fraction.__new__`. Three constructions use it,
+each reduced by a theorem rather than by a check: the convergents h_k/k_k
+(h_k*k_{k-1} - h_{k-1}*k_k = +-1, Hardy and Wright, Thm 150), the value
+`to_rational` folds back to front (a product of matrices of determinant
+-1), and the Calkin-Wilf successors (Calkin and Wilf, 2000).
 """
 
 from __future__ import annotations
@@ -87,6 +94,15 @@ def _repr(x) -> str:
     if hasattr(x, "_fields"):
         args = map("{}={}".format, x._fields, args)
     return f"{type(x).__name__}({', '.join(args)})"
+
+
+def _coprime(num: int, den: int) -> Fraction:
+    # the Fraction num/den for plain ints already in lowest terms with den >= 1: the two
+    # slots Fraction declares, written as CPython 3.12's Fraction._from_coprime_ints does
+    x = object.__new__(Fraction)
+    x._numerator = num
+    x._denominator = den
+    return x
 
 
 def _check_count(name: str, n: int) -> int:

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from diagcf import (
     CFDiagonalResult,
     ContinuedFraction,
+    Convergent,
     DomainError,
     RangeError,
     Stream,
@@ -238,6 +240,20 @@ class TestConvergents:
                 assert h1 * k0 - h0 * k1 == expected
                 expected = -expected
 
+    @given(st.integers(0, 10**40), st.lists(st.integers(1, 10**40), max_size=40))
+    def test_every_convergent_is_reduced_by_the_determinant_identity(self, head, tail):
+        # what lets the values skip the gcd: h_k*k_{k-1} - h_{k-1}*k_k = (-1)^(k-1)
+        terms = (head, *tail)
+        for source in (terms, ContinuedFraction(terms)):
+            cs = convergents(source, len(terms))
+            assert [type(c) for c in cs] == [Convergent] * len(terms)
+            assert [c.index for c in cs] == list(range(len(terms)))
+            parts = [(1, 0)] + [(c.value.numerator, c.value.denominator) for c in cs]
+            for k, ((h0, k0), (h1, k1)) in enumerate(zip(parts, parts[1:])):
+                assert math.gcd(h1, k1) == 1 and k1 >= 1
+                assert h1 * k0 - h0 * k1 == (-1) ** (k - 1)
+            assert cs[-1].value == to_rational(terms) == prefix_value(terms, len(terms))
+
     def test_alternation_around_final_value(self):
         rng = random.Random(17)
         for _ in range(50):
@@ -249,6 +265,61 @@ class TestConvergents:
                     assert c.value < x
                 else:
                     assert c.value > x
+
+
+def calls_under(fn, *args):
+    # fn(*args), and every Python code object and C function entered beneath it
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+        elif event == "c_call":
+            called.add(arg)
+
+    sys.setprofile(profile)
+    try:
+        value = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return value, called
+
+
+class TestNoGcd:
+    """Convergents and folds are reduced by construction, so no gcd is taken:
+    no math.gcd call and no Fraction.__new__, whose normalizing step takes one."""
+
+    CF = ContinuedFraction(named_cf_stream("e").take(400))
+
+    @pytest.mark.parametrize("call", [
+        lambda cf: convergents(cf, len(cf)),
+        lambda cf: [to_rational(cf)],
+    ], ids=["convergents", "to_rational"])
+    def test_values_take_no_gcd(self, call):
+        values, called = calls_under(call, self.CF)
+        assert math.gcd not in called
+        assert Fraction.__new__.__code__ not in called
+        value = getattr(values[-1], "value", values[-1])  # the whole cf's value either way
+        assert type(value) is Fraction and value == prefix_value(self.CF, len(self.CF))
+
+    def test_a_checked_source_is_not_checked_again(self, monkeypatch):
+        checked = []
+
+        def spy(index, run):
+            checked.append(len(run))
+            return check(index, run)
+
+        check = continued_fraction._check_quotients
+        monkeypatch.setattr(continued_fraction, "_check_quotients", spy)
+        terms = list(self.CF)
+        expected = convergents(terms, 300)
+        assert checked == [300]
+        assert convergents(self.CF, 300) == expected
+        assert checked == [300]
+        for source in (terms, iter(terms), Stream(iter(terms), "cf"), named_cf_stream("e")):
+            checked.clear()
+            assert convergents(source, 300) == expected
+            assert checked == [300]
 
 
 class TestFromRealApprox:

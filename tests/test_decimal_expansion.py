@@ -413,6 +413,21 @@ class TestMultiplicativeOrder:
         assert pow(10, order, modulus) == 1
         assert all(pow(10, order // p, modulus) != 1 for p in primes)
 
+    @pytest.mark.parametrize("k", [100, 200, 400])
+    def test_a_prime_power_modulus_takes_three_powers(self, k, monkeypatch):
+        # phi(3^k) = 2*3^(k-1) and the order of 10 is 3^(k-2): one power strips the 2, one
+        # strips a 3 and one fails to strip the next, so the stripping stops at the first
+        # power that is not 1, never one power per factor of 3
+        powers = []
+
+        def spy(*args):
+            powers.append(args[1:])
+            return pow(*args)
+
+        monkeypatch.setattr(diagcf.decimal_expansion, "pow", spy, raising=False)
+        assert multiplicative_order(10, 3**k) == 3 ** (k - 2)
+        assert powers == [(3 ** (k - 1), 3**k), (3 ** (k - 2), 3**k), (3 ** (k - 3), 3**k)]
+
     def test_errors(self):
         with pytest.raises(DomainError):
             multiplicative_order(10, 1)

@@ -66,6 +66,42 @@ class TestCalkinWilf:
             assert x > 0
             assert math.gcd(x.numerator, x.denominator) == 1
 
+    def test_values_of_the_fraction_built_generator(self):
+        # the successor as Fraction(q, 2*(p//q)*q + q - p) built it, with a gcd per value
+        def old_calkin_wilf():
+            x = Fraction(1, 1)
+            while True:
+                yield x
+                p, q = x.numerator, x.denominator
+                x = Fraction(q, 2 * (p // q) * q + q - p)
+
+        values = calkin_wilf().take(10000)
+        assert values == list(itertools.islice(old_calkin_wilf(), 10000))
+        assert {type(x) for x in values} == {Fraction}
+        assert {(type(x.numerator), type(x.denominator)) for x in values} == {(int, int)}
+        assert [hash(x) for x in values] == [hash(Fraction(*x.as_integer_ratio())) for x in values]
+
+    def test_values_take_no_gcd(self):
+        # each successor of a reduced p/q is reduced, so no value takes a gcd: no
+        # math.gcd call and no Fraction.__new__, whose normalizing step takes one
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code)
+            elif event == "c_call":
+                called.add(arg)
+
+        rows = calkin_wilf()
+        sys.setprofile(profile)
+        try:
+            values = rows.take(2000)
+        finally:
+            sys.setprofile(None)
+        assert math.gcd not in called
+        assert Fraction.__new__.__code__ not in called
+        assert len(values) == 2000 and values[-1] == Fraction(11, 50)  # Stern: s(2000)/s(2001)
+
     def test_small_fractions_appear_early(self):
         seen = set(calkin_wilf().take(2**12))
         for total in range(2, 13):

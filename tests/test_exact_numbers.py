@@ -1,6 +1,8 @@
+import copy
 import itertools
 import math
 import operator
+import pickle
 import re
 import sys
 import types
@@ -96,6 +98,57 @@ def test_zero_is_zero_over_one():
 def test_invariants(x):
     assert x.denominator >= 1
     assert math.gcd(abs(x.numerator), x.denominator) == 1
+
+
+def _lowest_terms(num, den):
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+# ints on both sides of the int/str limit: 10^5000 and 7^6000 have 5001 and 5071 digits
+parts = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.integers(0, 10**30).map(lambda n: 10**5000 + n),
+    st.integers(0, 10**30).map(lambda n: -(7**6000) - n),
+)
+coprime_pairs = st.builds(_lowest_terms, parts, parts.map(abs).filter(bool))
+
+
+@settings(deadline=None)
+@given(coprime_pairs, st.builds(Fraction, parts, parts.map(abs).filter(bool)))
+def test_coprime_is_the_fraction_of_its_parts(pair, other):
+    h, k = pair
+    built, made = exact_numbers._coprime(h, k), Fraction(h, k)
+    assert type(built) is Fraction
+    assert built == made and hash(built) == hash(made)
+    assert (built.numerator, built.denominator) == (made.numerator, made.denominator) == pair
+    assert exact_numbers._repr(built) == exact_numbers._repr(made)
+    assert to_string(built) == to_string(made)
+    if max(abs(h), k) < 10**4000:
+        assert (repr(built), str(built)) == (repr(made), str(made))
+    for twin in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built), copy.copy(built)):
+        assert type(twin) is Fraction and twin == made and hash(twin) == hash(made)
+    assert built + other == made + other and built * other == made * other
+    assert (built < other) == (made < other) and (other < built) == (other < made)
+
+
+def test_coprime_writes_the_slots_fraction_declares():
+    # the helper writes these two slots with no Fraction.__new__; a Fraction that
+    # declared others would be left with them unset
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    x = exact_numbers._coprime(-3, 7)
+    assert (x._numerator, x._denominator) == (-3, 7) and not hasattr(x, "__dict__")
+
+
+def test_coprime_matches_from_coprime_ints():
+    from_coprime_ints = getattr(Fraction, "_from_coprime_ints", None)
+    if from_coprime_ints is None:
+        version = sys.version.split()[0]
+        pytest.skip(f"Fraction._from_coprime_ints arrived in CPython 3.12, not in {version}")
+    for h, k in [(0, 1), (-3, 7), (10**5000 + 1, 7**6000), (1, 10**5000)]:
+        built, made = exact_numbers._coprime(h, k), from_coprime_ints(h, k)
+        assert type(built) is type(made) is Fraction and built == made
+        assert (built.numerator, built.denominator) == (made.numerator, made.denominator)
 
 
 def test_to_string():

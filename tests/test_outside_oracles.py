@@ -16,11 +16,14 @@ from sympy.ntheory.continued_fraction import (  # noqa: E402
 
 from diagcf import (  # noqa: E402
     PI_PARTIAL_QUOTIENTS,
+    RangeError,
     convergents,
     from_rational,
     metallic,
     multiplicative_order,
     named_cf_stream,
+    period_length,
+    period_length_by_order,
 )
 from diagcf._factoring import prime_factors  # noqa: E402
 
@@ -37,6 +40,35 @@ def test_order_of_ten_against_sympy(q):
 @given(st.integers(1, 10**12 - 1))
 def test_prime_factors_against_sympy(q):
     assert prime_factors(q) == sorted(sympy.factorint(q))
+
+
+def repunit(k):
+    return (10**k - 1) // 9
+
+
+# R_38 = 11 * 909090909090909091 * 1111111111111111111: rho finds no factor of the 120-bit
+# product of the last two within its budget, and n_order takes seconds on it
+REPUNITS_PAST_RHO = (38,)
+
+
+@pytest.mark.parametrize("k", [k for k in range(2, 41) if k not in REPUNITS_PAST_RHO])
+def test_repunit_orders_against_sympy(k):
+    # R_k's short period over a large denominator, the input the order route finds hardest
+    order = sympy.ntheory.n_order(10, repunit(k))
+    assert multiplicative_order(10, repunit(k)) == order
+    report = (order, 0, False)
+    assert period_length_by_order(Fraction(1, repunit(k))) == report
+    assert period_length(Fraction(1, repunit(k))) == report
+
+
+@pytest.mark.parametrize("k", REPUNITS_PAST_RHO)
+def test_repunit_past_rho_is_refused_by_the_order_route_only(k):
+    # the walk still answers; 10^k = 1 + 9*R_k, and no 10^(k/p) is 1 mod R_k
+    assert period_length(Fraction(1, repunit(k))) == (k, 0, False)
+    assert pow(10, k, repunit(k)) == 1
+    assert all(pow(10, k // p, repunit(k)) != 1 for p in sympy.primefactors(k))
+    with pytest.raises(RangeError, match="^found no factor of a 120-bit number in"):
+        period_length_by_order(Fraction(1, repunit(k)))
 
 
 def test_355_over_113_against_sympy():
