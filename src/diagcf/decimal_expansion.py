@@ -232,8 +232,8 @@ def digit_at(x: Rational, j: int) -> int:
     floor(x * 10^j) mod 10 only needs 10^j modulo 10*den, so this is
     O(log j) however deep j goes.
     """
-    if type(x) is Fraction:  # three per `convert` op: one read of both parts, no call
-        num, den = x.as_integer_ratio()
+    if type(x) is Fraction:  # three per `convert` op: both parts read from their slots, no call
+        num, den = x._numerator, x._denominator
     if type(x) is not Fraction or type(num) is not int or type(den) is not int or num < 0:
         num, den = _check_rational(x)
     if type(j) is not int or j < 1:

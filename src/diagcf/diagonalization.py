@@ -147,9 +147,10 @@ class RationalDiagonalReport(NamedTuple):
         return tuple(r for r in self.rulings if not r.consistent)
 
 
-def _rows(rows: Iterable, depth: int, kind: str, least: int) -> Iterator[tuple[int, Stream]]:
-    # (k, row k) for k = 1..depth, depth checked first; one row is pulled per position and
-    # none is held once read, and a bare iterable is wrapped once to pass its kind's check
+def _rows(rows: Iterable, depth: int, kind: str, least: int) -> Iterator[Stream]:
+    # rows 1..depth, depth checked first, each handed out as it is checked; the caller
+    # numbers them. One row is pulled per position and none is held once read, and a bare
+    # iterable is wrapped once to pass its kind's check
     depth = _check_count("depth", depth)
     if depth < least:
         raise DomainError(f"depth must be >= {least}")
@@ -161,7 +162,7 @@ def _rows(rows: Iterable, depth: int, kind: str, least: int) -> Iterator[tuple[i
             raise InputError(f"a {row.kind} stream cannot be a {kind} row")
         elif row.position != 0:
             raise InputError("row stream already consumed; recreate streams to rewind")
-        yield k, row
+        yield row
     if k < depth:
         raise InputError(f"need {depth} rows, got {k}")
 
@@ -187,11 +188,11 @@ def _check_shape(max_preperiod: int, max_period: int, depth: int) -> tuple[int, 
 def _diagonal(rows: Iterable, depth: int, kind: str) -> list[int]:
     # x_kk for k = 1..depth: a row with `entry` is read at position k directly, any other
     # is walked to it
-    diagonal = []
-    for k, row in _rows(rows, depth, kind, 1):
-        entry = getattr(row, "entry", None)
-        diagonal.append(entry(k) if entry is not None else row._skip(k + 1 - row.first_index))
-    return diagonal
+    return [
+        entry(k) if (entry := getattr(row, "entry", None)) is not None
+        else row._skip(k + 1 - row.first_index)
+        for k, row in zip(count(1), _rows(rows, depth, kind, 1))
+    ]
 
 
 def _witnesses(diagonal: list[int], built: tuple[int, ...]) -> tuple[DiagonalWitness, ...]:
@@ -248,7 +249,7 @@ def verify_differs(constructed, rows: Iterable, depth: int) -> VerifyResult:
     prefix, first = (
         (constructed.digits, 1) if constructed.kind == "decimal" else (constructed.terms, 0)
     )
-    for k, row in _rows(rows, depth, constructed.kind, 0):
+    for k, row in zip(count(1), _rows(rows, depth, constructed.kind, 0)):
         row_entry = row._skip(k + 1 - row.first_index)
         try:
             built = prefix[k - first]
@@ -299,7 +300,8 @@ def rule_out_periods(
                 if digits[j - 1] != digits[j + l - 1]:
                     witness = j
                     break
-            rulings.append(PeriodRuling(p, l, witness is None, witness))
+            # made in C, as `_witnesses` makes its records
+            rulings.append(tuple.__new__(PeriodRuling, (p, l, witness is None, witness)))
     return rulings
 
 

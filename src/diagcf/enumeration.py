@@ -8,10 +8,12 @@ Streams are pull-based, single-consumer and carry an explicit position;
 rewinding means recreating the stream.
 
 The package's rows (`digits_of`, `metallic` and the named streams) are
-small `Stream` subclasses, checked once when built, whose runs, walks
-and `entry(k)` hand out items with no second check, a walk only its
-last item; a stream over an outside iterable has no `entry`, is walked,
-and checks each run it pulls. A rational's k digits are long-divided
+small `Stream` subclasses with no `__init__`: the function that makes a
+row checks its argument once, makes the row with `object.__new__` and
+writes its slots, in one Python frame. Their runs, walks and `entry(k)`
+hand out items with no second check, a walk only its last item; a
+stream over an outside iterable has no `entry`, is walked, and checks
+each run it pulls. A rational's k digits are long-divided
 exactly, in O(1 + k/256) steps, by the block loop `expand` uses, and a
 walk to its k-th digit divides the same blocks but renders none; a
 metallic row's walk and `entry` read k with no call, a named row's a(k).
@@ -128,21 +130,9 @@ class Stream:
 
 
 class _DigitRow(Stream):
+    # made only by `digits_of`, which writes the slots: no __init__
     __slots__ = ("_x", "_rem", "_den")
     kind, first_index = "decimal", 1  # fixed, so no package row calls Stream.__init__
-
-    def __init__(self, x: Rational):
-        if type(x) is Fraction:  # a row per rational: one read of both parts, no check call
-            num, den = x.as_integer_ratio()
-        if type(x) is not Fraction or num < 0:  # the check refuses a negative or a non-rational
-            _check_rational(x)
-            num, den = x.numerator, x.denominator  # plain ints or not, checked below
-        if type(num) is not int or type(den) is not int:  # numpy ints overflow
-            raise DomainError(
-                f"x must be an int over an int, got {type(num).__name__}/{type(den).__name__}"
-            )
-        self._x, self._rem, self._den = x, num % den, den
-        self.position = 0
 
     def entry(self, k: int) -> int:
         if type(k) is not int or k < 1:
@@ -162,12 +152,9 @@ class _DigitRow(Stream):
 
 
 class _QuotientRow(Stream):
+    # made only by `metallic` and `named_cf_stream`, which write the slots: no __init__
     __slots__ = ("_a",)  # a metallic row's int k, or a named row's closed form a(k)
     kind, first_index = "cf", 0
-
-    def __init__(self, a):
-        self._a = a
-        self.position = 0
 
     def entry(self, k: int) -> int:
         if type(k) is not int or k < 0:
@@ -217,7 +204,21 @@ def digits_of(x: Rational) -> Stream:
     last digit, renders no digit to text and makes no list. `entry(k)` is
     `digit_at`, independent of both.
     """
-    return _DigitRow(x)
+    if type(x) is Fraction:  # a row per rational: both parts read from their slots, no call
+        num, den = x._numerator, x._denominator
+    if type(x) is not Fraction or num < 0:  # the check refuses a negative or a non-rational
+        _check_rational(x)
+        num, den = x.numerator, x.denominator  # plain ints or not, checked below
+    if type(num) is not int or type(den) is not int:  # numpy ints overflow
+        raise DomainError(
+            f"x must be an int over an int, got {type(num).__name__}/{type(den).__name__}"
+        )
+    row = object.__new__(_DigitRow)
+    row._x = x
+    row._rem = num % den
+    row._den = den
+    row.position = 0
+    return row
 
 
 def metallic(k: int) -> Stream:
@@ -227,7 +228,10 @@ def metallic(k: int) -> Stream:
         k = int(k)  # True passes as 1
     if k < 1:
         raise DomainError("metallic index must be >= 1")
-    return _QuotientRow(k)
+    row = object.__new__(_QuotientRow)
+    row._a = k
+    row.position = 0
+    return row
 
 
 def _e_quotient(k: int) -> int:
@@ -253,7 +257,10 @@ def named_cf_stream(name: str) -> Stream:
     """Fresh stream for sqrt2, e, phi, pi or metallic:<k>."""
     key = _check_text("name", name).lower()
     if key in _CLOSED_FORMS:
-        return _QuotientRow(_CLOSED_FORMS[key])
+        row = object.__new__(_QuotientRow)
+        row._a = _CLOSED_FORMS[key]
+        row.position = 0
+        return row
     if key == "phi":
         return metallic(1)
     if key.startswith("metallic:"):

@@ -151,7 +151,7 @@ def _check_rational(x) -> tuple[int, int]:
         raise DomainError(f"denominator must be >= 1, got {_digits_of_int(den)}")
     if num < 0:
         raise DomainError("negative input")
-    if type(x) is not Fraction and type(x) is not int:  # those two are reduced when made
+    if type(x) is not Fraction and type(x) is not int and type(x) is not bool:  # reduced when made
         return Fraction(num, den).as_integer_ratio()
     return num, den
 

@@ -16,6 +16,7 @@ from diagcf import (
     DiagonalWitness,
     DomainError,
     InputError,
+    PeriodRuling,
     RangeError,
     Stream,
     calkin_wilf,
@@ -439,6 +440,30 @@ class TestWitnessRecords:
             "DiagonalWitness(position=1, enumerated=0, constructed=5)"
         )
         assert repr(cf.witnesses[1]) == "DiagonalWitness(position=2, enumerated=2, constructed=3)"
+
+    def test_rulings_equal_the_plain_records(self):
+        # the diagonal rules every shape out; 1/7's digits fit periods 6, 12 and 18
+        rulings, plain = [], []
+        for digits in (
+            decimal_diagonal(cw_digit_rows(self.DEPTH), self.DEPTH).digits,
+            digits_of(Fraction(1, 7)).take(60),
+        ):
+            rulings += rule_out_periods(digits, 3, 20)
+            for p, l in itertools.product(range(4), range(1, 21)):
+                pairs = range(p + 1, len(digits) - l + 1)
+                witness = next((j for j in pairs if digits[j - 1] != digits[j + l - 1]), None)
+                plain.append(PeriodRuling(p, l, witness is None, witness))
+        assert rulings == plain and len(rulings) == 160
+        assert sum(r.consistent for r in rulings) == 12  # three periods at four preperiods
+        for r, twin in zip(rulings, plain):
+            assert type(r) is PeriodRuling
+            assert r._fields == ("preperiod", "period", "consistent", "witness_position")
+            assert (repr(r), hash(r)) == (repr(twin), hash(twin))
+            for copied in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+                assert type(copied) is PeriodRuling and copied == twin
+        assert repr(rule_out_periods([1, 2, 1, 2], 0, 2)[0]) == (
+            "PeriodRuling(preperiod=0, period=1, consistent=False, witness_position=1)"
+        )
 
     def test_bool_rows_keep_true_as_the_diagonal_entry(self):
         for result, built in (

@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import math
@@ -33,6 +34,7 @@ from diagcf import (
     named_cf_stream,
     period_length_by_order,
     to_rational,
+    verify_differs,
 )
 
 
@@ -164,6 +166,60 @@ class TestDigitsOf:
             digits_of(Fraction(1, 3)).entry(0)
         assert not hasattr(Stream(itertools.repeat(5), "decimal"), "entry")
 
+
+
+class Tenfold(Fraction):
+    """A Fraction subclass whose numerator says ten times what its slot holds."""
+
+    numerator = property(lambda self: 10 * self._numerator)
+
+
+class TestExactFractionSlots:
+    """Only an exact Fraction's parts are read from its slots; a subclass, a
+    negative value and numpy parts take the checked route, as they always did."""
+
+    def test_a_subclass_is_read_through_its_properties(self):
+        x, plain = Tenfold(1, 7), Fraction(10, 7)
+        assert x._numerator == 1 and x.numerator == 10
+        for j in (1, 2, 6, 300):
+            assert digit_at(x, j) == digit_at(plain, j)
+        assert digits_of(x).take(8) == digits_of(plain).take(8) == [4, 2, 8, 5, 7, 1, 4, 2]
+        assert digits_of(x).entry(9) == digit_at(plain, 9) == 8
+        assert digits_of(x)._skip(300) == digits_of(plain)._skip(300)
+        assert decimal_diagonal([digits_of(x)], 1).digits == (5,)
+
+    def test_a_subclass_is_refused_by_its_properties(self):
+        class Negative(Fraction):
+            numerator = property(lambda self: -self._numerator)
+
+        class Half(Fraction):
+            denominator = property(lambda self: 0)
+
+        for read in (partial(digit_at, j=3), digits_of):
+            with pytest.raises(DomainError, match="^negative input$"):
+                read(Negative(1, 7))
+            with pytest.raises(DomainError, match="^denominator must be >= 1, got 0$"):
+                read(Half(1, 7))
+
+    def test_a_negative_fraction_is_refused(self):
+        for x in (Fraction(-1, 7), Fraction(-3), Tenfold(-1, 7)):
+            for read in (partial(digit_at, j=3), digits_of):
+                with pytest.raises(DomainError, match="^negative input$"):
+                    read(x)
+
+    def test_numpy_parts(self):
+        # digit_at takes numpy parts through the check, which makes them ints;
+        # a row refuses them when built, as int64 would overflow in its division
+        numpy = pytest.importorskip("numpy")
+        x = Fraction(numpy.int64(1), 7)
+        assert type(x._numerator) is numpy.int64
+        assert digit_at(x, 3) == digit_at(Fraction(1, 7), 3) == 2
+        assert type(digit_at(x, 3)) is int
+        with pytest.raises(DomainError, match="^x must be an int over an int, got int64/int$"):
+            digits_of(x)
+        for read in (partial(digit_at, j=3), digits_of):
+            with pytest.raises(DomainError, match="^negative input$"):
+                read(Fraction(numpy.int64(-1), 7))
 
 def long_division(x):
     """The fractional digits of x, one step per digit: the reference walk."""
@@ -328,6 +384,31 @@ class TestRunPath:
             assert stream.position == position
 
 
+    @settings(deadline=None)
+    @given(package_rows, st.lists(
+        st.tuples(st.sampled_from(["take", "_skip", "next", "entry"]),
+                  st.sampled_from((1, 255, 256, 257, 513)) | st.integers(0, 700)),
+        max_size=10,
+    ))
+    def test_rows_keep_the_state_of_a_bare_stream(self, row, steps):
+        # a package row, made by writing its slots, shows what a bare Stream over the
+        # reference walk shows: the same position, repr, runs and walked items, while
+        # its `entry(k)` is digit_at or k and moves nothing
+        make, value, walk = row
+        stream, reference = make(value), Stream(walk(value), "cf" if make is metallic else "decimal")
+        for step, n in steps:
+            if step == "entry":
+                k = max(n, stream.first_index)
+                assert stream.entry(k) == (value if make is metallic else digit_at(value, k))
+            elif step == "next":
+                assert next(stream) == next(reference)
+            elif step == "_skip" and n >= 1:
+                assert stream._skip(n) == reference._skip(n)
+            elif step == "take":
+                assert stream.take(n) == reference.take(n)
+            assert stream.position == reference.position
+            assert repr(stream) == repr(reference)
+
 class TestSkip:
     """`_skip(n)`, the verify walk's step, hands out `take(n)[-1]` and leaves
     the row where `take(n)` leaves it: same position, same remainder, same
@@ -460,22 +541,21 @@ class TestPackageRowContract:
         assert grown <= 2 * len(rows)
 
     @staticmethod
-    def calls_under(method, *args):
-        # the functions, Python or C, called while method(*args) runs, itself first
+    def calls_under(method, *args, events=("call", "c_call")):
+        # the functions called while method(*args) runs, itself first: Python frames
+        # entered ("call", a generator at each resumption too) and C functions ("c_call")
         calls = []
 
         def profile(frame, event, arg):
-            if event == "call":
-                calls.append(frame.f_code.co_name)
-            elif event == "c_call":
-                calls.append(arg.__name__)
+            if event in events and arg is not sys.setprofile:
+                calls.append(frame.f_code.co_name if event == "call" else arg.__name__)
 
         sys.setprofile(profile)
         try:
             value = method(*args)
         finally:
             sys.setprofile(None)
-        return value, calls[:-1]  # the last call is setprofile's own
+        return value, calls
 
     def test_metallic_reads_make_no_call(self):
         # one row class serves metallic and named rows: its int k is read with no
@@ -490,6 +570,59 @@ class TestPackageRowContract:
         assert self.calls_under(e._skip, 6) == (4, ["_skip", "_e_quotient"])
         assert type(third) is type(e) is type(named_cf_stream("phi"))
 
+
+    def test_rows_are_made_in_one_frame(self):
+        # a row is made by writing its slots, with no __init__, and an exact Fraction's
+        # parts are read from its slots with no as_integer_ratio: one frame per row. An
+        # int or bool goes through the rational check, a bool k through the quotient rule
+        for x in (Fraction(1, 7), Fraction(22, 7), Fraction(0), 5, 0, True, False):
+            row, frames = self.calls_under(digits_of, x, events=("call",))
+            assert frames == ["digits_of"] + ["_check_rational"] * (type(x) is not Fraction)
+            assert row.take(3) == [digit_at(x, j) for j in (1, 2, 3)]
+            assert (row.entry(5), row.position) == (digit_at(x, 5), 3)
+        for k in (1, 3, 10**30, True):
+            row, frames = self.calls_under(metallic, k, events=("call",))
+            assert frames == ["metallic"] + ["_check_quotients"] * (type(k) is not int)
+            assert (row.entry(7), row.take(2), row.position) == (k, [k, k], 2)
+        for name in ("sqrt2", "e", "pi"):
+            _, frames = self.calls_under(named_cf_stream, name, events=("call",))
+            assert frames == ["named_cf_stream", "_check_text"]
+
+    @staticmethod
+    def frames_per_row(run, depth):
+        # the Python frames run(depth) enters, and those that run(2 * depth) enters
+        # beyond them: what each of the extra `depth` rows costs
+        once = collections.Counter(TestPackageRowContract.calls_under(
+            run, depth, events=("call",))[1])
+        twice = collections.Counter(TestPackageRowContract.calls_under(
+            run, 2 * depth, events=("call",))[1])
+        extra = {name: twice[name] - once[name] for name in once | twice}
+        return once, {name: n for name, n in extra.items() if n}
+
+    @pytest.mark.parametrize("depth", [1, 40])
+    def test_a_diagonal_position_enters_one_row_frame(self, depth):
+        # per row, the diagonal enters the row's own method and resumes `_rows`, the
+        # generator that checks the row and hands it over; nothing else. A digit row's
+        # entry is digit_at, which reads the Fraction's slots
+        values = calkin_wilf().take(2 * depth)
+        cf = cf_diagonal(irrational_enumeration(2 * depth), 2 * depth)
+        runs = {
+            "decimal": lambda d: decimal_diagonal([digits_of(v) for v in values[:d]], d),
+            "cf": lambda d: cf_diagonal(irrational_enumeration(d), d),
+            "verify": lambda d: verify_differs(cf, irrational_enumeration(d), d),
+        }
+        per_row = {
+            "decimal": {"entry": 1, "digit_at": 1, "_rows": 1, "digits_of": 1},
+            "cf": {"entry": 1, "_rows": 1, "metallic": 1},
+            "verify": {"_skip": 1, "_rows": 1, "metallic": 1},
+        }
+        for name, run in runs.items():
+            once, extra = self.frames_per_row(run, depth)
+            assert extra == {frame: n * depth for frame, n in per_row[name].items()}, name
+            assert {frame: once[frame] for frame in per_row[name]} == {
+                frame: n * depth + (frame == "_rows") for frame, n in per_row[name].items()
+            }, name
+            assert not {"__init__", "as_integer_ratio", "__new__"} & once.keys(), name
 
 def e_quotients():
     """e = [2; 1, 2, 1, 1, 4, 1, 1, 6, ...] as a walk: the reference for e's closed form."""
