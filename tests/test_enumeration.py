@@ -395,7 +395,8 @@ class TestRunPath:
         # reference walk shows: the same position, repr, runs and walked items, while
         # its `entry(k)` is digit_at or k and moves nothing
         make, value, walk = row
-        stream, reference = make(value), Stream(walk(value), "cf" if make is metallic else "decimal")
+        stream = make(value)
+        reference = Stream(walk(value), "cf" if make is metallic else "decimal")
         for step, n in steps:
             if step == "entry":
                 k = max(n, stream.first_index)
