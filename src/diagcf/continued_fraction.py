@@ -15,6 +15,7 @@ structural. Non-canonical term lists are accepted everywhere as input.
 from __future__ import annotations
 
 import itertools
+import numbers
 import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
@@ -50,7 +51,12 @@ def _check_quotients(index: int, run: Sequence[int]) -> None:
 
 
 def _quotients(items: Iterable[int], count: int | None = None) -> tuple[int, ...]:
-    # the first `count` terms (all for None) as plain ints, under the quotient rule
+    # the first `count` terms (all for None) as plain ints, under the quotient rule; all
+    # the terms of a package row that never ends are refused before the first is pulled
+    if count is None and getattr(items, "_endless", False):
+        raise DomainError(
+            f"a {items.kind} row never ends; a continued fraction has finitely many terms"
+        )
     try:
         ts = tuple(map(operator.index, itertools.islice(items, count)))
     except TypeError:
@@ -230,10 +236,13 @@ def approximation_compare(
     target: Rational, cf_approx: Rational, decimal_approx: Rational
 ) -> ApproximationComparison:
     """Which of the two approximations sits closer to the target."""
+    values = (target, cf_approx, decimal_approx)
     try:
+        if not all(isinstance(v, numbers.Number) for v in values):
+            raise TypeError  # numpy would broadcast a list into an array
         cf_error, decimal_error = abs(target - cf_approx), abs(target - decimal_approx)
-    except TypeError:
-        names = ", ".join(type(v).__name__ for v in (target, cf_approx, decimal_approx))
+    except (TypeError, OverflowError):  # OverflowError: a numpy int meets an int past 64 bits
+        names = ", ".join(type(v).__name__ for v in values)
         raise DomainError(f"target and approximations must be numbers, got {names}") from None
     if cf_error < decimal_error:
         closer = "cf"

@@ -21,7 +21,8 @@ from .continued_fraction import ContinuedFraction, from_rational
 from .enumeration import Stream, digits_of
 from .errors import DomainError, InputError, RangeError
 from .exact_numbers import (
-    Rational, _check_count, _check_index, _check_iterable, _digits_of_int, _quote, _repr,
+    Rational, _check_count, _check_index, _check_iterable, _check_rational, _digits_of_int,
+    _quote, _repr,
 )
 
 __all__ = (
@@ -107,10 +108,9 @@ class CFDiagonalFailure(NamedTuple):
 
     def message(self) -> str:
         k = self.failing_index
+        num, den = _check_rational(self.rational)  # in lowest terms, as from_rational read it
         return (
-            f"diagonal undefined at k={k}: CF of "
-            f"{_digits_of_int(self.rational.numerator)}/"
-            f"{_digits_of_int(self.rational.denominator)} "
+            f"diagonal undefined at k={k}: CF of {_digits_of_int(num)}/{_digits_of_int(den)} "
             f"= {self.cf} has no a_{k}{k}"
         )
 

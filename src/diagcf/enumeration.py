@@ -133,6 +133,7 @@ class _DigitRow(Stream):
     # made only by `digits_of`, which writes the slots: no __init__
     __slots__ = ("_x", "_rem", "_den")
     kind, first_index = "decimal", 1  # fixed, so no package row calls Stream.__init__
+    _endless = True  # the doors that read every term of a cf refuse the row unread
 
     def entry(self, k: int) -> int:
         if type(k) is not int or k < 1:
@@ -155,6 +156,10 @@ class _QuotientRow(Stream):
     # made only by `metallic` and `named_cf_stream`, which write the slots: no __init__
     __slots__ = ("_a",)  # a metallic row's int k, or a named row's closed form a(k)
     kind, first_index = "cf", 0
+
+    @property
+    def _endless(self) -> bool:
+        return self._a is not _pi_quotient  # pi's row ends at its table, with a RangeError
 
     def entry(self, k: int) -> int:
         if type(k) is not int or k < 0:
@@ -250,7 +255,8 @@ def _pi_quotient(k: int) -> int:
     )
 
 
-_CLOSED_FORMS = {"sqrt2": lambda k: 2 if k else 1, "e": _e_quotient, "pi": _pi_quotient}
+# a named row's slot: its closed form a(k), or the int k of the metallic row it is
+_CLOSED_FORMS = {"sqrt2": lambda k: 2 if k else 1, "e": _e_quotient, "pi": _pi_quotient, "phi": 1}
 
 
 def named_cf_stream(name: str) -> Stream:
@@ -261,8 +267,6 @@ def named_cf_stream(name: str) -> Stream:
         row._a = _CLOSED_FORMS[key]
         row.position = 0
         return row
-    if key == "phi":
-        return metallic(1)
     if key.startswith("metallic:"):
         index = key.removeprefix("metallic:")
         if not _is_digits(index):

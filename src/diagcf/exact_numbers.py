@@ -140,16 +140,20 @@ def _check_index(name: str, k, first: float) -> int:
         raise DomainError(f"{name} must be an integer, got {_quote(k)}") from None
 
 
-def _check_rational(x) -> tuple[int, int]:
-    # x's numerator and denominator as ints in lowest terms, where x >= 0 is an int over an
-    # int >= 1 (numpy ints too, which would overflow in arithmetic); else the refusal
+def _check_rational(x, signed: bool = False) -> tuple[int, int]:
+    # x's numerator and denominator as ints in lowest terms, where x >= 0 (any sign where
+    # signed) is an int over an int >= 1 (numpy ints too, which would overflow in
+    # arithmetic); else the refusal
     try:
-        num, den = operator.index(x.numerator), operator.index(x.denominator)
+        if type(x) is Fraction:  # its slots, with no property call
+            num, den = operator.index(x._numerator), operator.index(x._denominator)
+        else:
+            num, den = operator.index(x.numerator), operator.index(x.denominator)
     except (AttributeError, TypeError):
         raise DomainError(f"x must be a rational, got {_quote(x)}") from None
     if den < 1:
         raise DomainError(f"denominator must be >= 1, got {_digits_of_int(den)}")
-    if num < 0:
+    if num < 0 and not signed:
         raise DomainError("negative input")
     if type(x) is not Fraction and type(x) is not int and type(x) is not bool:  # reduced when made
         return Fraction(num, den).as_integer_ratio()
@@ -167,11 +171,9 @@ def make_rational(num: int, den: int) -> Rational:
 
 
 def to_string(x: Rational) -> str:
-    """"p/q" in lowest terms, or plain "p" when the denominator is 1."""
-    try:
-        num, den = operator.index(x.numerator), operator.index(x.denominator)
-    except (AttributeError, TypeError):
-        raise DomainError(f"x must be a rational, got {_quote(x)}") from None
+    """"p/q" in lowest terms, or plain "p" when the denominator is 1; x is read
+    as every rational is, except that it may be negative."""
+    num, den = _check_rational(x, signed=True)
     if den == 1:
         return _digits_of_int(num)
     return f"{_digits_of_int(num)}/{_digits_of_int(den)}"

@@ -15,6 +15,7 @@ from diagcf import PeriodReport, RangeError
 from diagcf.cli import MAX_EXPONENT, run
 from diagcf.decimal_expansion import MAX_DIGITS
 from diagcf.exact_numbers import _digits_of_int
+from instruments import spy
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -147,14 +148,7 @@ class TestDecimal:
         # printed length comes from the order, not from a second division
         import diagcf.decimal_expansion as decimal_expansion
 
-        divided = []
-        period_length = decimal_expansion.period_length
-
-        def spy(x):
-            divided.append(x)
-            return period_length(x)
-
-        monkeypatch.setattr(decimal_expansion, "period_length", spy)
+        divided = spy(monkeypatch, decimal_expansion, "period_length", lambda x: x)
         code, out, _ = invoke(capsys, "decimal", "find-period", "50")
         assert (code, out) == (0, "1/59 (period length 58)\n")
         assert divided == [Fraction(1, 59)]

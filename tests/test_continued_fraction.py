@@ -1,8 +1,8 @@
 import math
 import random
 import re
-import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,15 +17,18 @@ from diagcf import (
     approximation_compare,
     canonicalize,
     convergents,
+    digits_of,
     fractional_digit_budget,
     from_rational,
     from_real_approx,
+    metallic,
     named_cf_stream,
     parse_cf,
     to_plain_string,
     to_rational,
 )
 from diagcf import continued_fraction, enumeration
+from instruments import calls_under, spy
 
 positive_rationals = st.builds(
     Fraction, st.integers(1, 1000), st.integers(1, 1000)
@@ -267,24 +270,6 @@ class TestConvergents:
                     assert c.value > x
 
 
-def calls_under(fn, *args):
-    # fn(*args), and every Python code object and C function entered beneath it
-    called = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            called.add(frame.f_code)
-        elif event == "c_call":
-            called.add(arg)
-
-    sys.setprofile(profile)
-    try:
-        value = fn(*args)
-    finally:
-        sys.setprofile(None)
-    return value, called
-
-
 class TestNoGcd:
     """Convergents and folds are reduced by construction, so no gcd is taken:
     no math.gcd call and no Fraction.__new__, whose normalizing step takes one."""
@@ -296,21 +281,14 @@ class TestNoGcd:
         lambda cf: [to_rational(cf)],
     ], ids=["convergents", "to_rational"])
     def test_values_take_no_gcd(self, call):
-        values, called = calls_under(call, self.CF)
-        assert math.gcd not in called
-        assert Fraction.__new__.__code__ not in called
+        values, calls = calls_under(call, self.CF)
+        assert math.gcd not in calls
+        assert Fraction.__new__.__code__ not in calls
         value = getattr(values[-1], "value", values[-1])  # the whole cf's value either way
         assert type(value) is Fraction and value == prefix_value(self.CF, len(self.CF))
 
     def test_a_checked_source_is_not_checked_again(self, monkeypatch):
-        checked = []
-
-        def spy(index, run):
-            checked.append(len(run))
-            return check(index, run)
-
-        check = continued_fraction._check_quotients
-        monkeypatch.setattr(continued_fraction, "_check_quotients", spy)
+        checked = spy(monkeypatch, continued_fraction, "_check_quotients", lambda i, run: len(run))
         terms = list(self.CF)
         expected = convergents(terms, 300)
         assert checked == [300]
@@ -462,6 +440,45 @@ BAD_TERMS = [[-1], [1, 0], [1.5], ["2"], [Fraction(3)]]
 def test_public_entries_refuse_bad_terms(entry, terms):
     with pytest.raises(DomainError):
         entry(terms)
+
+
+# the doors that read every term of their source, and the package rows that never end
+ALL_TERM_ENTRIES = list(TERM_ENTRIES)[:5]
+ENDLESS_ROWS = {
+    "digits_of(1/7)": lambda: digits_of(Fraction(1, 7)),
+    "metallic(2)": lambda: metallic(2),
+    **{name: partial(named_cf_stream, name) for name in ("sqrt2", "e", "phi")},
+}
+
+
+@pytest.mark.parametrize("make", ENDLESS_ROWS.values(), ids=ENDLESS_ROWS.keys())
+@pytest.mark.parametrize("entry", ALL_TERM_ENTRIES)
+def test_an_endless_row_is_refused_before_its_first_pull(monkeypatch, entry, make):
+    # each door read the row until memory ran out; here a 10^4-th pull fails the test
+    row, pulls = make(), []
+    step = type(row).__next__
+
+    def bounded(self):
+        pulls.append(self.position)
+        assert len(pulls) < 10**4, "an endless row was read on and on"
+        return step(self)
+
+    monkeypatch.setattr(type(row), "__next__", bounded)
+    message = f"^a {row.kind} row never ends; a continued fraction has finitely many terms$"
+    with pytest.raises(DomainError, match=message):
+        TERM_ENTRIES[entry](row)
+    assert (pulls, row.position) == ([], 0)
+
+
+@pytest.mark.parametrize("entry", ALL_TERM_ENTRIES)
+def test_rows_that_end_still_reach_the_doors(entry):
+    # pi's row stops at its table; a count, or a bare Stream over finite items, reads as before
+    with pytest.raises(RangeError, match="^pi stream is backed by a fixed table of 48 "):
+        TERM_ENTRIES[entry](named_cf_stream("pi"))
+    assert TERM_ENTRIES[entry](Stream([3, 7, 15], "cf")) == TERM_ENTRIES[entry]([3, 7, 15])
+    for make in ENDLESS_ROWS.values():
+        expected = convergents(make().take(4), 4)
+        assert convergents(make(), 4) == expected and len(expected) == 4
 
 
 @pytest.mark.parametrize(

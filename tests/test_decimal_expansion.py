@@ -29,6 +29,7 @@ from diagcf import (
 )
 from diagcf._factoring import is_strong_lucas_probable_prime, prime_factors
 from diagcf.decimal_expansion import _divide_to, _long_divide
+from instruments import CountingInt, spy
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -202,25 +203,19 @@ class TestPeriodLength:
     def count_steps(monkeypatch, x):
         # the walk's `% q` steps, counted on the denominator that the real
         # rational check hands the walk: (report or refusal, steps)
-        class CountingInt(int):
-            steps = 0
-
-            def __rmod__(self, other):
-                CountingInt.steps += 1
-                return int.__rmod__(self, other)
-
-        check = diagcf.decimal_expansion._check_rational
+        dens, check = [], diagcf.decimal_expansion._check_rational
 
         def counting_check(value):
             num, den = check(value)
-            return num, CountingInt(den)
+            dens.append(CountingInt(den))
+            return num, dens[-1]
 
         monkeypatch.setattr(diagcf.decimal_expansion, "_check_rational", counting_check)
         try:
             outcome = period_length(x)
         except RangeError as refusal:
             outcome = refusal
-        return outcome, CountingInt.steps
+        return outcome, sum(den.mods for den in dens)
 
     def test_refusal_walks_the_cycle_once(self, monkeypatch):
         # 10 has order (10^12 + 38) / 6 modulo the prime 10^12 + 39; the
@@ -418,13 +413,7 @@ class TestMultiplicativeOrder:
         # phi(3^k) = 2*3^(k-1) and the order of 10 is 3^(k-2): one power strips the 2, one
         # strips a 3 and one fails to strip the next, so the stripping stops at the first
         # power that is not 1, never one power per factor of 3
-        powers = []
-
-        def spy(*args):
-            powers.append(args[1:])
-            return pow(*args)
-
-        monkeypatch.setattr(diagcf.decimal_expansion, "pow", spy, raising=False)
+        powers = spy(monkeypatch, diagcf.decimal_expansion, "pow", lambda *args: args[1:])
         assert multiplicative_order(10, 3**k) == 3 ** (k - 2)
         assert powers == [(3 ** (k - 1), 3**k), (3 ** (k - 2), 3**k), (3 ** (k - 3), 3**k)]
 
@@ -514,31 +503,17 @@ class TestDivideTo:
         self.check(*rem_den, n)
 
 
-class CountingDen(int):
-    """A denominator that counts the whole-block steps (`% den`) and the block divisions
-    (`divmod(_, den)`) made with it; the results stay plain ints."""
-
-    mods = divmods = 0
-
-    def __rmod__(self, other):
-        self.mods += 1
-        return int.__rmod__(self, other)
-
-    def __rdivmod__(self, other):
-        self.divmods += 1
-        return int.__rdivmod__(self, other)
-
-
 class TestBlockCounts:
     """Digits come in blocks of 256: k digits take ceil(k / 256) divisions in one call."""
 
     @staticmethod
     def spy(monkeypatch, module):
-        # each `_long_divide` call that module makes, as (digits asked for, its denominator)
+        # each `_long_divide` call that module makes, as (digits asked for, its denominator),
+        # which counts the whole-block steps (`% den`) and the block divisions (divmod)
         calls = []
 
         def counted(rem, den, n):
-            calls.append((n, CountingDen(den)))
+            calls.append((n, CountingInt(den)))
             return _long_divide(rem, calls[-1][1], n)
 
         monkeypatch.setattr(module, "_long_divide", counted)
@@ -563,7 +538,7 @@ class TestBlockCounts:
 
     @pytest.mark.parametrize("n", BLOCK_EDGES + (2000,))
     def test_divide_to(self, n):
-        den = CountingDen(10**40 + 7)
+        den = CountingInt(10**40 + 7)
         assert _divide_to(1, den, n) == _divide_to(1, 10**40 + 7, n)
         assert (den.mods, den.divmods) == ((n - 1) // 256, 1)
 
@@ -663,14 +638,7 @@ class TestFindPeriodAtLeast:
 
     def test_scan_skips_denominators_too_small_to_qualify(self, monkeypatch):
         # the order of 10 mod d is at most d - 1, so no d <= 1000 can have one >= 1000
-        moduli = []
-        order = diagcf.decimal_expansion.multiplicative_order
-
-        def spy(base, modulus):
-            moduli.append(modulus)
-            return order(base, modulus)
-
-        monkeypatch.setattr(diagcf.decimal_expansion, "multiplicative_order", spy)
+        moduli = spy(monkeypatch, diagcf.decimal_expansion, "multiplicative_order", lambda b, m: m)
         x = find_period_at_least(1000)
         assert moduli and min(moduli) > 1000
         assert len(expand(x).period) >= 1000

@@ -1,9 +1,9 @@
 import copy
 import itertools
 import pickle
-import sys
 import weakref
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +34,7 @@ from diagcf import (
     rule_out_periods,
     verify_differs,
 )
+from instruments import call_name, calls_under, long_division, spy
 
 
 def cw_digit_rows(depth):
@@ -342,13 +343,7 @@ class TestVerifyWork:
     def test_digit_rows_divide_exactly_the_digits_walked(self, monkeypatch):
         values = calkin_wilf().take(self.DEPTH)
         built = decimal_diagonal([digits_of(v) for v in values], self.DEPTH)
-        asked, divide_to = [], enumeration._divide_to
-
-        def spy(rem, den, n):
-            asked.append(n)
-            return divide_to(rem, den, n)
-
-        monkeypatch.setattr(enumeration, "_divide_to", spy)
+        asked = spy(monkeypatch, enumeration, "_divide_to", lambda rem, den, n: n)
         assert verify_differs(built, [digits_of(v) for v in values], self.DEPTH) == (True, None)
         assert asked == list(range(1, self.DEPTH + 1))  # d calls, d(d+1)/2 digits
 
@@ -359,31 +354,18 @@ class TestVerifyWork:
         values = calkin_wilf().take(self.DEPTH)
         built = decimal_diagonal([digits_of(v) for v in values], self.DEPTH)
         rows = [digits_of(v) for v in values]
-        called = set()
 
         def refuse(*args):
             raise AssertionError("the verify walk rendered a digit")
 
         for module in (decimal_expansion, enumeration):  # str is a type: no C-call event
             monkeypatch.setattr(module, "str", refuse, raising=False)
-
-        def profile(frame, event, arg):
-            if event == "call":
-                called.add(frame.f_code)
-            elif event == "c_call":
-                called.add(arg)
-
-        sys.setprofile(profile)
-        try:
-            result = verify_differs(built, rows, self.DEPTH)
-        finally:
-            sys.setprofile(None)
+        result, calls = calls_under(verify_differs, built, rows, self.DEPTH)
         assert result == (True, None)
-        assert enumeration._divide_to.__code__ in called
-        assert digit_at.__code__ not in called and pow not in called
-        assert enumeration._long_divide.__code__ not in called
-        names = {getattr(c, "co_name", None) or getattr(c, "__name__", "") for c in called}
-        assert not {"zfill", "join", "format"} & names
+        assert enumeration._divide_to.__code__ in calls
+        assert digit_at.__code__ not in calls and pow not in calls
+        assert enumeration._long_divide.__code__ not in calls
+        assert not {"zfill", "join", "format"} & set(map(call_name, calls))
 
     def test_quotient_rows_never_pull_a_run(self, monkeypatch):
         def e_rows():
@@ -406,13 +388,7 @@ def test_decimal_diagonal_reads_each_row_once_at_its_position(monkeypatch):
     # d calls of the O(log k) digit_at, the k-th on row k's value at position k
     depth = 300
     values = calkin_wilf().take(depth)
-    asked, digit_at = [], enumeration.digit_at
-
-    def spy(x, k):
-        asked.append((x, k))
-        return digit_at(x, k)
-
-    monkeypatch.setattr(enumeration, "digit_at", spy)
+    asked = spy(monkeypatch, enumeration, "digit_at")
     decimal_diagonal([digits_of(v) for v in values], depth)
     assert asked == list(zip(values, range(1, depth + 1)))
 
@@ -482,19 +458,6 @@ class TestWitnessRecords:
             verify_differs(built, rows, 8)
 
 
-def long_division_row(x):
-    """Row of x's fractional digits, long-divided one step per digit."""
-
-    def walk():
-        rem, den = x.numerator % x.denominator, x.denominator
-        while True:
-            rem *= 10
-            yield rem // den
-            rem %= den
-
-    return Stream(walk(), "decimal")
-
-
 CALKIN_WILF = calkin_wilf().take(6000)
 
 
@@ -508,9 +471,9 @@ class TestVerifierIndependence:
         built = decimal_diagonal([digits_of(v) for v in values], depth)
 
         def verdicts(result):
-            return (
-                verify_differs(result, [digits_of(v) for v in values], depth),
-                verify_differs(result, [long_division_row(v) for v in values], depth),
+            return tuple(
+                verify_differs(result, [row(v) for v in values], depth)
+                for row in (digits_of, lambda v: Stream(long_division(v), "decimal"))
             )
 
         assert verdicts(built) == ((True, None), (True, None))
@@ -630,6 +593,11 @@ class TestCFDiagonalOverRationals:
         failure = cf_diagonal_over_rationals([Fraction(10**5000)])
         big = "1" + "0" * 5000
         assert failure.message() == f"diagonal undefined at k=1: CF of {big}/1 = [{big}] has no a_11"
+
+    def test_message_reads_the_rational_in_lowest_terms(self):
+        # it printed the enumeration's raw parts, 6/2
+        failure = cf_diagonal_over_rationals([SimpleNamespace(numerator=6, denominator=2)])
+        assert failure.message() == "diagonal undefined at k=1: CF of 3/1 = [3] has no a_11"
 
     def test_exhausted_enumeration(self):
         with pytest.raises(InputError, match="without exposing"):

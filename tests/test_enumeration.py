@@ -11,6 +11,7 @@ import warnings
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from types import CodeType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +37,7 @@ from diagcf import (
     to_rational,
     verify_differs,
 )
+from instruments import call_name, calls_under, long_division
 
 
 class TestCalkinWilf:
@@ -86,22 +88,9 @@ class TestCalkinWilf:
     def test_values_take_no_gcd(self):
         # each successor of a reduced p/q is reduced, so no value takes a gcd: no
         # math.gcd call and no Fraction.__new__, whose normalizing step takes one
-        called = set()
-
-        def profile(frame, event, arg):
-            if event == "call":
-                called.add(frame.f_code)
-            elif event == "c_call":
-                called.add(arg)
-
-        rows = calkin_wilf()
-        sys.setprofile(profile)
-        try:
-            values = rows.take(2000)
-        finally:
-            sys.setprofile(None)
-        assert math.gcd not in called
-        assert Fraction.__new__.__code__ not in called
+        values, calls = calls_under(calkin_wilf().take, 2000)
+        assert math.gcd not in calls
+        assert Fraction.__new__.__code__ not in calls
         assert len(values) == 2000 and values[-1] == Fraction(11, 50)  # Stern: s(2000)/s(2001)
 
     def test_small_fractions_appear_early(self):
@@ -220,15 +209,6 @@ class TestExactFractionSlots:
         for read in (partial(digit_at, j=3), digits_of):
             with pytest.raises(DomainError, match="^negative input$"):
                 read(Fraction(numpy.int64(-1), 7))
-
-def long_division(x):
-    """The fractional digits of x, one step per digit: the reference walk."""
-    rem, den = x.numerator % x.denominator, x.denominator
-    while True:
-        rem *= 10
-        yield rem // den
-        rem %= den
-
 
 # digits_of divides out blocks of 256 digits; a run ending at, before or
 # after a multiple of 256 starts, ends or straddles a block
@@ -542,33 +522,23 @@ class TestPackageRowContract:
         assert grown <= 2 * len(rows)
 
     @staticmethod
-    def calls_under(method, *args, events=("call", "c_call")):
-        # the functions called while method(*args) runs, itself first: Python frames
-        # entered ("call", a generator at each resumption too) and C functions ("c_call")
-        calls = []
-
-        def profile(frame, event, arg):
-            if event in events and arg is not sys.setprofile:
-                calls.append(frame.f_code.co_name if event == "call" else arg.__name__)
-
-        sys.setprofile(profile)
-        try:
-            value = method(*args)
-        finally:
-            sys.setprofile(None)
-        return value, calls
+    def names_under(method, *args, c_calls=True):
+        # method(*args), and the names of the calls beneath it, itself first: Python frames
+        # entered (a generator at each resumption too) and, unless c_calls is false, C functions
+        value, calls = calls_under(method, *args)
+        return value, [call_name(c) for c in calls if c_calls or type(c) is CodeType]
 
     def test_metallic_reads_make_no_call(self):
         # one row class serves metallic and named rows: its int k is read with no
         # call beneath the read, while a named row calls its closed form
         third = metallic(3)
-        assert self.calls_under(third.entry, 10**6) == (3, ["entry"])
-        assert self.calls_under(third._skip, 500) == (3, ["_skip"])
-        assert self.calls_under(third.__next__) == (3, ["_skip"])
+        assert self.names_under(third.entry, 10**6) == (3, ["entry"])
+        assert self.names_under(third._skip, 500) == (3, ["_skip"])
+        assert self.names_under(third.__next__) == (3, ["_skip"])
         assert third.position == 501
         e = named_cf_stream("e")
-        assert self.calls_under(e.entry, 5) == (4, ["entry", "_e_quotient"])
-        assert self.calls_under(e._skip, 6) == (4, ["_skip", "_e_quotient"])
+        assert self.names_under(e.entry, 5) == (4, ["entry", "_e_quotient"])
+        assert self.names_under(e._skip, 6) == (4, ["_skip", "_e_quotient"])
         assert type(third) is type(e) is type(named_cf_stream("phi"))
 
 
@@ -577,26 +547,26 @@ class TestPackageRowContract:
         # parts are read from its slots with no as_integer_ratio: one frame per row. An
         # int or bool goes through the rational check, a bool k through the quotient rule
         for x in (Fraction(1, 7), Fraction(22, 7), Fraction(0), 5, 0, True, False):
-            row, frames = self.calls_under(digits_of, x, events=("call",))
+            row, frames = self.names_under(digits_of, x, c_calls=False)
             assert frames == ["digits_of"] + ["_check_rational"] * (type(x) is not Fraction)
             assert row.take(3) == [digit_at(x, j) for j in (1, 2, 3)]
             assert (row.entry(5), row.position) == (digit_at(x, 5), 3)
         for k in (1, 3, 10**30, True):
-            row, frames = self.calls_under(metallic, k, events=("call",))
+            row, frames = self.names_under(metallic, k, c_calls=False)
             assert frames == ["metallic"] + ["_check_quotients"] * (type(k) is not int)
             assert (row.entry(7), row.take(2), row.position) == (k, [k, k], 2)
-        for name in ("sqrt2", "e", "pi"):
-            _, frames = self.calls_under(named_cf_stream, name, events=("call",))
+        for name in ("sqrt2", "e", "pi", "phi"):  # phi is a row of the closed-form table
+            _, frames = self.names_under(named_cf_stream, name, c_calls=False)
             assert frames == ["named_cf_stream", "_check_text"]
 
     @staticmethod
     def frames_per_row(run, depth):
         # the Python frames run(depth) enters, and those that run(2 * depth) enters
         # beyond them: what each of the extra `depth` rows costs
-        once = collections.Counter(TestPackageRowContract.calls_under(
-            run, depth, events=("call",))[1])
-        twice = collections.Counter(TestPackageRowContract.calls_under(
-            run, 2 * depth, events=("call",))[1])
+        once = collections.Counter(TestPackageRowContract.names_under(
+            run, depth, c_calls=False)[1])
+        twice = collections.Counter(TestPackageRowContract.names_under(
+            run, 2 * depth, c_calls=False)[1])
         extra = {name: twice[name] - once[name] for name in once | twice}
         return once, {name: n for name, n in extra.items() if n}
 

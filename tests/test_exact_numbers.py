@@ -158,6 +158,19 @@ def test_to_string():
     assert to_string(Fraction(0)) == "0"
 
 
+@pytest.mark.parametrize(
+    "num, den, text", [(2, 4, "1/2"), (-2, 4, "-1/2"), (6, 2, "3"), (1, 0, None), (1, -2, None)]
+)
+def test_to_string_reads_a_rational_like_as_the_doors_do(num, den, text):
+    # it printed 2/4 unreduced, and 1/0 and 1/-2, which every rational door refuses
+    x = types.SimpleNamespace(numerator=num, denominator=den)
+    if text is None:
+        with pytest.raises(DomainError, match=f"^denominator must be >= 1, got {den}$"):
+            to_string(x)
+    else:
+        assert to_string(x) == text
+
+
 def test_parse_rational():
     assert parse_rational("6/7") == Fraction(6, 7)
     assert parse_rational("-2/3") == Fraction(-2, 3)

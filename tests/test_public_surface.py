@@ -94,6 +94,27 @@ HOSTILE_CALLS = [
     (*named("Stream", [], []), DomainError, "unknown kind: []"),
 ]
 
+
+def np(kind, value):
+    # a numpy scalar, made when the call runs, so that a run without numpy skips the case
+    return getattr(pytest.importorskip("numpy"), kind)(value)
+
+
+# these raised OverflowError, raised numpy's ValueError on an ambiguous truth value, and
+# returned errors that were arrays
+HOSTILE_CALLS += [
+    (label, call, DomainError, f"target and approximations must be numbers, got {names}")
+    for label, call, names in [
+        ("approximation_compare(int64(3), 2, 10**30)",
+         lambda: diagcf.approximation_compare(np("int64", 3), 2, 10**30), "int64, int, int"),
+        ("approximation_compare(int64(3), [1, 2], 1)",
+         lambda: diagcf.approximation_compare(np("int64", 3), [1, 2], 1), "int64, list, int"),
+        ("approximation_compare(float64(1.5), [1], 1)",
+         lambda: diagcf.approximation_compare(np("float64", 1.5), [1], 1),
+         "float64, list, int"),
+    ]
+]
+
 # each of these used to end in a ValueError, since its refusal rendered a value past the
 # int/str limit; repr(H) and repr(B) raise that error too, so each is named by hand
 H, B = Fraction(10**5000 + 1, 2), 10**5000
