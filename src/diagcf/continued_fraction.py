@@ -240,6 +240,15 @@ def approximation_compare(
     try:
         if not all(isinstance(v, numbers.Number) for v in values):
             raise TypeError  # numpy would broadcast a list into an array
+        if not all(type(v) is int or not isinstance(v, numbers.Integral) for v in values):
+            # numpy's ints are read as ints, so that no difference wraps. An int that numpy
+            # cannot hold beside them is still refused: numpy's zero plus it overflows
+            zero = sum(v * 0 for v in values if isinstance(v, numbers.Integral))
+            for v in values:
+                zero + v
+            target, cf_approx, decimal_approx = (
+                operator.index(v) if isinstance(v, numbers.Integral) else v for v in values
+            )
         cf_error, decimal_error = abs(target - cf_approx), abs(target - decimal_approx)
     except (TypeError, OverflowError):  # OverflowError: a numpy int meets an int past 64 bits
         names = ", ".join(type(v).__name__ for v in values)

@@ -14,6 +14,7 @@ its own diagonal entry, as a checkable certificate.
 
 from __future__ import annotations
 
+import sys
 from itertools import count, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -187,10 +188,10 @@ def _check_shape(max_preperiod: int, max_period: int, depth: int) -> tuple[int, 
 
 def _diagonal(rows: Iterable, depth: int, kind: str) -> list[int]:
     # x_kk for k = 1..depth: a row with `entry` is read at position k directly, any other
-    # is walked to it
+    # is walked to it and its item read as an int (a bool item as 0 or 1)
     return [
         entry(k) if (entry := getattr(row, "entry", None)) is not None
-        else row._skip(k + 1 - row.first_index)
+        else int(row._skip(k + 1 - row.first_index))
         for k, row in zip(count(1), _rows(rows, depth, kind, 1))
     ]
 
@@ -286,22 +287,27 @@ def rule_out_periods(
     first such j is recorded. Everything else is reported consistent:
     a finite prefix can rule shapes out but can never certify one. The
     prefix must hold at least max_preperiod + 2*max_period digits.
+    Period l's witness serves each preperiod short of it, so l costs c_l
+    comparisons in all, at most one per position: c_l is its first
+    witness past max_preperiod, or n - l where it has none.
     """
     try:
         n = len(digits)
     except TypeError:
         raise InputError(f"digits must be a sequence, got {type(digits).__name__}") from None
+    except OverflowError:  # a length past sys.maxsize: `_check_count`'s refusal of such a depth
+        raise RangeError(f"depth must be <= {sys.maxsize}") from None
     max_preperiod, max_period, n = _check_shape(max_preperiod, max_period, n)
     rulings: list[PeriodRuling] = []
+    witness = [0] * (max_period + 1)  # witness[l]: period l's first past the last p, or None
     for p in range(max_preperiod + 1):
         for l in range(1, max_period + 1):
-            witness = None
-            for j in range(p + 1, n - l + 1):  # 1-based positions
-                if digits[j - 1] != digits[j + l - 1]:
-                    witness = j
-                    break
+            if witness[l] == p:  # not past p: scan on from p + 1 (1-based positions)
+                witness[l] = next((
+                    j for j in range(p + 1, n - l + 1) if digits[j - 1] != digits[j + l - 1]
+                ), None)
             # made in C, as `_witnesses` makes its records
-            rulings.append(tuple.__new__(PeriodRuling, (p, l, witness is None, witness)))
+            rulings.append(tuple.__new__(PeriodRuling, (p, l, witness[l] is None, witness[l])))
     return rulings
 
 

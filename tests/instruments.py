@@ -1,8 +1,10 @@
 """The instruments that count a call's work from outside it, so the library pays nothing:
-a call recorder, a record-and-forward spy, a counting int and the reference walk."""
+a call recorder, a record-and-forward spy, a counting int, a counting sequence and the
+reference walk."""
 
 import builtins
 import sys
+from collections.abc import Sequence
 from types import CodeType
 
 
@@ -59,6 +61,20 @@ class CountingInt(int):
     def __rdivmod__(self, other):
         self.divmods += 1
         return int.__rdivmod__(self, other)
+
+
+class CountingSequence(Sequence):
+    """`items` read through, counting each `self[i]` taken."""
+
+    def __init__(self, items):
+        self.items, self.reads = items, 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.items[i]
 
 
 def long_division(x):

@@ -452,8 +452,9 @@ def test_literal_commands_exit_cleanly(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv, stdout=out, stderr=err)
     assert code in (0, 1, 2)
-    if code == 1:
+    if code == 1:  # a refusal prints no partial answer
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert out.getvalue() == ""
 
 
 # Every README example, each diagonal at three depths in both formats, and

@@ -407,6 +407,14 @@ class TestApproximationCompare:
         report = approximation_compare(0.5, Fraction(1, 3), 0.25)
         assert report == (0.5 - Fraction(1, 3), 0.25, "cf") and type(report.cf_error) is float
 
+    def test_numpy_ints_give_what_their_ints_give(self):
+        # the two int64s' difference passed 64 bits and wrapped to a negative "absolute" error
+        numpy = pytest.importorskip("numpy")
+        ints = (2**62, -2**62, 0)
+        report = approximation_compare(numpy.int64(2**62), numpy.int64(-2**62), 0)
+        assert repr(report) == repr(approximation_compare(*ints))
+        assert report.closer == "decimal" and report.cf_error == 2**63
+
 
 # the public entries that take partial quotients from outside the package
 TERM_ENTRIES = {

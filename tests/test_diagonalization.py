@@ -34,7 +34,7 @@ from diagcf import (
     rule_out_periods,
     verify_differs,
 )
-from instruments import call_name, calls_under, long_division, spy
+from instruments import CountingSequence, call_name, calls_under, long_division, spy
 
 
 def cw_digit_rows(depth):
@@ -441,12 +441,12 @@ class TestWitnessRecords:
             "PeriodRuling(preperiod=0, period=1, consistent=False, witness_position=1)"
         )
 
-    def test_bool_rows_keep_true_as_the_diagonal_entry(self):
+    def test_bool_rows_give_their_int_as_the_diagonal_entry(self):
         for result, built in (
             (decimal_diagonal([[True]], 1), 5), (cf_diagonal([[0, True]], 1), 2),
         ):
             (w,) = result.witnesses
-            assert w.enumerated is True and (w.position, w.constructed) == (1, built)
+            assert type(w.enumerated) is int and w == (1, 1, built)
 
     @pytest.mark.parametrize("kind", ["decimal", "cf"])
     def test_verify_refuses_a_prefix_shorter_than_depth(self, kind):
@@ -627,6 +627,41 @@ class TestRuleOutPeriods:
                 assert j + r.period <= 100
                 assert digits[j - 1] != digits[j + r.period - 1]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 9), max_size=6),
+        st.lists(st.integers(0, 9), min_size=1, max_size=6),
+        st.integers(0, 6), st.integers(1, 6), st.integers(0, 30), st.data(),
+    )
+    def test_rulings_are_each_shapes_first_witness(self, head, period, p_max, l_max, extra, data):
+        # an eventually periodic prefix, and the same with one digit changed
+        n = p_max + 2 * l_max + extra
+        digits = list(itertools.islice(itertools.chain(head, itertools.cycle(period)), n))
+        k = data.draw(st.none() | st.integers(0, n - 1))
+        if k is not None:
+            digits[k] = (digits[k] + 1) % 10
+        expected = []
+        for p in range(p_max + 1):
+            for l in range(1, l_max + 1):
+                pairs = enumerate(zip(digits[p:], digits[p + l:]), start=p + 1)
+                j = next((j for j, (a, b) in pairs if a != b), None)
+                expected.append(PeriodRuling(p, l, j is None, j))
+        rulings = rule_out_periods(digits, p_max, l_max)
+        assert list(map(repr, rulings)) == list(map(repr, expected))
+        assert {type(r) for r in rulings} == {PeriodRuling}
+
+    @pytest.mark.parametrize("digits, p_max, l_max, comparisons", [
+        (digits_of(Fraction(1, 7)).take(600), 60, 120, 16840),
+        (decimal_diagonal(cw_digit_rows(600), 600).digits, 5, 8, 188),
+    ], ids=["one-seventh", "calkin-wilf-diagonal"])
+    def test_each_period_is_scanned_once(self, digits, p_max, l_max, comparisons):
+        # period l costs c_l comparisons, two reads each: c_l is its first witness past
+        # p_max, or n - l where it has none. A scan per shape read 1,249,280 and 2,016
+        read = CountingSequence(digits)
+        rulings = rule_out_periods(read, p_max, l_max)
+        c = [r.witness_position or len(digits) - r.period for r in rulings[-l_max:]]  # p = p_max
+        assert read.reads == 2 * sum(c) == 2 * comparisons
+
     def test_validation(self):
         with pytest.raises(DomainError):
             rule_out_periods([1, 2], -1, 1)
@@ -672,7 +707,7 @@ class TestFormatWitnesses:
         lines = text.split("\n")
         assert lines[0] == "     k      d_kk      d_0k  differs"
         assert lines[1] == "     1         0         5  yes"
-        # rows keep bool items as given; the table prints them as digits
+        # a bool item of a row is read as its int
         text = format_witnesses(decimal_diagonal([[True]], 1))
         assert text.split("\n")[1] == "     1         1         5  yes"
         text = format_witnesses(cf_diagonal([[0, True]], 1))

@@ -6,7 +6,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from instruments import CountingInt, call_name, calls_under, long_division, spy
+from instruments import (
+    CountingInt, CountingSequence, call_name, calls_under, long_division, spy,
+)
 
 
 def test_the_recorder_sees_frames_and_c_calls_but_not_itself():
@@ -52,6 +54,15 @@ def test_the_counting_int_counts_exactly_its_own_reductions():
     assert {type(r) for r in rems} == {int}
     assert (den.mods, den.divmods, other.mods, other.divmods) == (n, n, 0, 0)
     assert den == 7 and hash(den) == hash(7)
+
+
+def test_the_counting_sequence_counts_each_item_read():
+    digits = CountingSequence((3, 1, 4))
+    assert (len(digits), digits.reads) == (3, 0)
+    assert (digits[0], digits[-1], digits.reads) == (3, 4, 2)
+    with pytest.raises(IndexError):
+        digits[3]
+    assert digits.reads == 3 and list(digits) == [3, 1, 4] and digits.reads == 7
 
 
 def test_the_spy_records_and_passes_values_and_exceptions_through(monkeypatch):

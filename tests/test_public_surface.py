@@ -1,4 +1,5 @@
 import ast
+import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 import diagcf
-from diagcf import DomainError, InputError
+from diagcf import DomainError, InputError, RangeError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "diagcf"
 
@@ -114,6 +115,11 @@ HOSTILE_CALLS += [
          "float64, list, int"),
     ]
 ]
+
+# this one ended in len()'s OverflowError; a length past sys.maxsize is refused as a depth is
+HOSTILE_CALLS.append(
+    (*named("rule_out_periods", range(10**20), 0, 1), RangeError, f"depth must be <= {sys.maxsize}")
+)
 
 # each of these used to end in a ValueError, since its refusal rendered a value past the
 # int/str limit; repr(H) and repr(B) raise that error too, so each is named by hand
